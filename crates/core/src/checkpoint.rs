@@ -2,7 +2,7 @@
 //!
 //! A supervised sweep appends one line to a checkpoint file (`sweep.ckpt`)
 //! after each point finishes — compact canonical JSON (the
-//! [`report`](crate::report) writer, so `serialize ∘ parse` is the identity)
+//! [`report`] writer, so `serialize ∘ parse` is the identity)
 //! carrying the point's status, its result row, an FNV-1a hash of that row,
 //! and any invariant violations. A later `--resume` run replays the file,
 //! verifies each record's hash, keeps the completed and truncated points,
@@ -22,13 +22,22 @@
 //! strict where silence would be wrong: records from a different experiment
 //! or base seed fail loudly with [`CheckpointError::WrongSweep`].
 //!
+//! ## One line format
+//!
+//! This module is the only one that builds or parses durable lines. Sweep
+//! checkpoints and the [`jobs`](crate::jobs) journal share the format: a
+//! checkpoint holds only point records, a job journal interleaves point
+//! records (scoped by job id) with self-hashed job-state transitions. Every
+//! line is decoded once, by one parser; [`Manifest::load`], the job queue's
+//! resume and [`repair_journal`] are folds over its output.
+//!
 //! ## Storage faults
 //!
 //! All persistence goes through a [`StorageBackend`]
 //! (see [`chaosfs`](crate::chaosfs)), so checkpoint durability can be
 //! soak-tested under injected I/O faults. Transient errors (`EINTR`,
 //! timeouts) are retried with bounded backoff per [`IoRetryPolicy`]; fatal
-//! ones never fail the sweep. A fatal *read* degrades [`Manifest::load_with`]
+//! ones never fail the sweep. A fatal *read* degrades [`Manifest::load`]
 //! to an empty manifest carrying a typed [`Manifest::load_fault`] (the
 //! affected points re-run); a fatal *write or fsync* quarantines the
 //! [`CheckpointWriter`] — further appends become no-ops, the grid still
@@ -50,14 +59,21 @@ use crate::report::{self, Json};
 use crate::sweep::{self, PointOutcome, PointRun, PoolConfig, SweepCtx, SweepSupervisor};
 use crate::telemetry;
 
-/// FNV-1a 64-bit hash (the checkpoint record integrity check).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit hash (the journal line integrity check).
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The journal's digest of a text: its FNV-1a hash as 16 hex digits. Row
+/// hashes, transition self-hashes, job identities and result-cache addresses
+/// all use it.
+pub(crate) fn digest(text: &str) -> String {
+    format!("{:016x}", fnv1a64(text.as_bytes()))
 }
 
 /// Errors from checkpoint persistence and resume.
@@ -105,7 +121,7 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Wraps a `std::io::Error` with its path, preserving the typed kind.
-pub(crate) fn io_error(path: &Path, e: &std::io::Error) -> CheckpointError {
+fn io_error(path: &Path, e: &std::io::Error) -> CheckpointError {
     CheckpointError::Io { path: path.to_owned(), kind: e.kind(), detail: e.to_string() }
 }
 
@@ -203,7 +219,7 @@ impl CheckpointRecord {
     /// for checkpoints, the job id for job journals.
     pub(crate) fn to_json(&self, experiment: &str, base_seed: u64) -> Json {
         let (row, hash) = match &self.row {
-            Some(row) => (row.clone(), format!("{:016x}", fnv1a64(row.to_compact_string().as_bytes()))),
+            Some(row) => (row.clone(), digest(&row.to_compact_string())),
             None => (Json::Null, String::new()),
         };
         Json::obj([
@@ -223,67 +239,156 @@ impl CheckpointRecord {
         ])
     }
 
-    /// Parses one checkpoint line. `Ok(None)` means the line is damaged or
-    /// stale (skip and re-run the point); `Err` means it belongs to another
-    /// sweep entirely.
-    pub(crate) fn from_line(
-        line: &str,
-        path: &Path,
-        experiment: &str,
-        base_seed: u64,
-    ) -> Result<Option<CheckpointRecord>, CheckpointError> {
-        let Ok(v) = report::parse(line) else { return Ok(None) };
-        let (Some(exp), Some(seed)) =
-            (v.get("experiment").and_then(Json::as_str), v.get("base_seed").and_then(Json::as_u64))
-        else {
-            return Ok(None);
-        };
-        if exp != experiment || seed != base_seed {
-            return Err(CheckpointError::WrongSweep {
-                path: path.to_owned(),
-                expected: format!("({experiment}, seed {base_seed})"),
-                found: format!("({exp}, seed {seed})"),
-            });
-        }
-        let (Some(point), Some(status), Some(hash)) = (
-            v.get("point").and_then(Json::as_u64),
-            v.get("status").and_then(Json::as_str).and_then(PointStatus::from_label),
-            v.get("hash").and_then(Json::as_str),
-        ) else {
-            return Ok(None);
-        };
+    /// Decodes a point record from its parsed line, checking the row hash.
+    /// `None` means the record is damaged (torn write, manual edit) and is
+    /// treated as absent.
+    fn decode(v: &Json) -> Option<CheckpointRecord> {
+        let point = v.get("point").and_then(Json::as_u64)?;
+        let status = v.get("status").and_then(Json::as_str).and_then(PointStatus::from_label)?;
+        let hash = v.get("hash").and_then(Json::as_str)?;
         let row = match v.get("row") {
             Some(Json::Null) | None => None,
             Some(row) => Some(row.clone()),
         };
-        // Integrity gate: a record whose row does not hash to its recorded
-        // digest (torn write, manual edit) is treated as absent.
         let hash_ok = match &row {
-            Some(row) => hash == format!("{:016x}", fnv1a64(row.to_compact_string().as_bytes())),
+            Some(row) => hash == digest(&row.to_compact_string()),
             None => hash.is_empty(),
         };
         if !hash_ok {
-            return Ok(None);
+            return None;
         }
-        let strings = |key: &str| -> Vec<String> {
-            match v.get(key) {
-                Some(Json::Arr(items)) => items.iter().filter_map(Json::as_str).map(str::to_owned).collect(),
-                _ => Vec::new(),
-            }
+        let text = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_owned);
+        let violations = match v.get("violations") {
+            Some(Json::Arr(items)) => items.iter().filter_map(Json::as_str).map(str::to_owned).collect(),
+            _ => Vec::new(),
         };
-        Ok(Some(CheckpointRecord {
+        Some(CheckpointRecord {
             point: point as usize,
             status,
-            truncation: v.get("truncation").and_then(Json::as_str).map(str::to_owned),
+            truncation: text("truncation"),
             row,
-            panic_msg: v.get("panic_msg").and_then(Json::as_str).map(str::to_owned),
-            params: v.get("params").and_then(Json::as_str).map(str::to_owned),
-            script_id: v.get("script_id").and_then(Json::as_str).map(str::to_owned),
-            script_error: v.get("script_error").and_then(Json::as_str).map(str::to_owned),
+            panic_msg: text("panic_msg"),
+            params: text("params"),
+            script_id: text("script_id"),
+            script_error: text("script_error"),
             fuel_used: v.get("fuel_used").and_then(Json::as_u64),
-            violations: strings("violations"),
-        }))
+            violations,
+        })
     }
+}
+
+/// One durable line, decoded once.
+#[derive(Debug)]
+pub(crate) struct JournalLine {
+    /// The `(experiment, base_seed)` pair the line carries, if readable. For
+    /// a point record this is its scope: the sweep's experiment label, or the
+    /// job id in a job journal. Present even when the rest of the line is
+    /// damaged, so a sweep loader can still reject a foreign file loudly.
+    pub(crate) claim: Option<(String, u64)>,
+    /// The validated content; `None` for a damaged line (torn, tampered,
+    /// unparseable).
+    pub(crate) entry: Option<JournalEntry>,
+}
+
+/// The validated content of a [`JournalLine`].
+#[derive(Debug)]
+pub(crate) enum JournalEntry {
+    /// A point record whose row hash checks out; its scope and seed are the
+    /// line's claim.
+    Point(CheckpointRecord),
+    /// A job-state transition whose self-hash checks out.
+    Transition {
+        /// The job the transition belongs to.
+        job_id: String,
+        /// `"admitted"`, or the job's terminal status label.
+        status: String,
+        /// The job's identity hash, recorded at admission.
+        identity: Option<String>,
+    },
+}
+
+impl JournalLine {
+    /// Decodes one line. Never fails: damage shows up as `entry: None`.
+    pub(crate) fn parse(line: &str) -> JournalLine {
+        let Ok(v) = report::parse(line) else { return JournalLine { claim: None, entry: None } };
+        let claim =
+            match (v.get("experiment").and_then(Json::as_str), v.get("base_seed").and_then(Json::as_u64)) {
+                (Some(scope), Some(seed)) => Some((scope.to_owned(), seed)),
+                _ => None,
+            };
+        let entry = if v.get("kind").and_then(Json::as_str) == Some("transition") {
+            decode_transition(&v)
+        } else if claim.is_some() {
+            CheckpointRecord::decode(&v).map(JournalEntry::Point)
+        } else {
+            None
+        };
+        JournalLine { claim, entry }
+    }
+
+    /// The logical slot this line fills (see [`journal_line_key`]).
+    fn key(&self) -> Option<String> {
+        match self.entry.as_ref()? {
+            JournalEntry::Transition { job_id, status, .. } => {
+                let slot = if status == "admitted" { "admitted" } else { "terminal" };
+                Some(format!("transition/{job_id}/{slot}"))
+            }
+            JournalEntry::Point(rec) => {
+                let (scope, seed) = self.claim.as_ref()?;
+                Some(format!("point/{scope}/{seed}/{}", rec.point))
+            }
+        }
+    }
+}
+
+/// Decodes a transition, checking its self-hash: the `hash` field must equal
+/// the digest of the object with that field blanked.
+fn decode_transition(v: &Json) -> Option<JournalEntry> {
+    let (Json::Obj(pairs), Some(hash)) = (v, v.get("hash").and_then(Json::as_str)) else {
+        return None;
+    };
+    let blanked = Json::Obj(
+        pairs
+            .iter()
+            .map(|(k, val)| {
+                let val = if k == "hash" { Json::Str(String::new()) } else { val.clone() };
+                (k.clone(), val)
+            })
+            .collect(),
+    );
+    if hash != digest(&blanked.to_compact_string()) {
+        return None;
+    }
+    Some(JournalEntry::Transition {
+        job_id: v.get("job_id").and_then(Json::as_str)?.to_owned(),
+        status: v.get("status").and_then(Json::as_str)?.to_owned(),
+        identity: v.get("identity").and_then(Json::as_str).map(str::to_owned),
+    })
+}
+
+/// Builds one self-hashed job-state transition line. The hash field covers
+/// the line with itself blanked, mirroring the row hash on point records.
+pub(crate) fn transition_line(
+    job_id: &str,
+    tenant: &str,
+    experiment: &str,
+    base_seed: u64,
+    status: &str,
+    identity: &str,
+) -> Json {
+    let fields = |hash: &str| {
+        Json::obj([
+            ("kind", "transition".into()),
+            ("job_id", job_id.into()),
+            ("tenant", tenant.into()),
+            ("experiment", experiment.into()),
+            ("base_seed", Json::U64(base_seed)),
+            ("status", status.into()),
+            ("identity", identity.into()),
+            ("hash", hash.into()),
+        ])
+    };
+    fields(&digest(&fields("").to_compact_string()))
 }
 
 /// The usable content of a checkpoint file after a lenient replay.
@@ -300,10 +405,7 @@ pub struct Manifest {
 
 /// Reads `path` through `backend`, retrying transient faults with bounded
 /// backoff. `Ok(None)` is a missing file; a fatal fault is returned typed.
-pub(crate) fn read_with_retry(
-    path: &Path,
-    backend: &dyn StorageBackend,
-) -> Result<Option<String>, StorageFault> {
+fn read_with_retry(path: &Path, backend: &dyn StorageBackend) -> Result<Option<String>, StorageFault> {
     let policy = IoRetryPolicy::default();
     let mut attempt = 0u32;
     loop {
@@ -327,48 +429,79 @@ pub(crate) fn read_with_retry(
     }
 }
 
-impl Manifest {
-    /// Replays `path`. A missing file is an empty manifest (fresh start);
-    /// damaged lines are skipped and counted; a record from a different
-    /// `(experiment, base_seed)` is a hard [`CheckpointError::WrongSweep`].
-    pub fn load(path: &Path, experiment: &str, base_seed: u64) -> Result<Manifest, CheckpointError> {
-        Manifest::load_with(path, &REAL_FS, experiment, base_seed)
-    }
+/// What a journal replay recovered besides the caller's own fold.
+#[derive(Debug, Default)]
+pub(crate) struct Replay {
+    /// Lines the fold did not use: damaged, or not a record it keeps.
+    pub(crate) skipped: usize,
+    /// Set when the file could not be read at all: the caller degrades to a
+    /// fresh start (every point re-runs) instead of failing the run.
+    pub(crate) load_fault: Option<StorageFault>,
+}
 
-    /// Like [`Manifest::load`], through an explicit [`StorageBackend`].
+/// Replays a journal through `backend`: every non-blank line is decoded
+/// once and handed to `fold`, which returns whether it used the line;
+/// unused lines are counted as skipped, and a fold error stops the replay.
+/// A missing file replays nothing, and a fatal read fault degrades to an
+/// empty replay carrying the typed reason.
+pub(crate) fn replay<E>(
+    path: &Path,
+    backend: &dyn StorageBackend,
+    mut fold: impl FnMut(JournalLine) -> Result<bool, E>,
+) -> Result<Replay, E> {
+    let text = match read_with_retry(path, backend) {
+        Ok(Some(text)) => text,
+        Ok(None) => return Ok(Replay::default()),
+        Err(fault) => {
+            telemetry::ckpt_journal_quarantined();
+            return Ok(Replay { skipped: 0, load_fault: Some(fault) });
+        }
+    };
+    let mut skipped = 0usize;
+    for line in text.lines().filter(|line| !line.trim().is_empty()) {
+        if !fold(JournalLine::parse(line))? {
+            skipped += 1;
+        }
+    }
+    telemetry::ckpt_damaged_lines(skipped as u64);
+    Ok(Replay { skipped, load_fault: None })
+}
+
+impl Manifest {
+    /// Replays the checkpoint at `path` through `backend`. A missing file is
+    /// an empty manifest (fresh start); damaged lines are skipped and
+    /// counted; a record from a different `(experiment, base_seed)` is a hard
+    /// [`CheckpointError::WrongSweep`].
     ///
     /// Transient read faults are retried with bounded backoff; a fatal one
     /// does **not** fail the resume — it degrades to an empty manifest with
     /// the typed reason in [`Manifest::load_fault`], so every point simply
     /// re-runs and the report still reproduces.
-    pub fn load_with(
+    pub fn load(
         path: &Path,
         backend: &dyn StorageBackend,
         experiment: &str,
         base_seed: u64,
     ) -> Result<Manifest, CheckpointError> {
-        let text = match read_with_retry(path, backend) {
-            Ok(Some(text)) => text,
-            Ok(None) => return Ok(Manifest::default()),
-            Err(fault) => {
-                telemetry::ckpt_journal_quarantined();
-                return Ok(Manifest { load_fault: Some(fault), ..Manifest::default() });
+        let mut records = BTreeMap::new();
+        let replayed = replay(path, backend, |line| {
+            let Some((scope, seed)) = &line.claim else { return Ok(false) };
+            if scope != experiment || *seed != base_seed {
+                return Err(CheckpointError::WrongSweep {
+                    path: path.to_owned(),
+                    expected: format!("({experiment}, seed {base_seed})"),
+                    found: format!("({scope}, seed {seed})"),
+                });
             }
-        };
-        let mut manifest = Manifest::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match CheckpointRecord::from_line(line, path, experiment, base_seed)? {
-                Some(rec) => {
-                    manifest.records.insert(rec.point, rec);
+            match line.entry {
+                Some(JournalEntry::Point(rec)) => {
+                    records.insert(rec.point, rec);
+                    Ok(true)
                 }
-                None => manifest.skipped_lines += 1,
+                _ => Ok(false),
             }
-        }
-        telemetry::ckpt_damaged_lines(manifest.skipped_lines as u64);
-        Ok(manifest)
+        })?;
+        Ok(Manifest { records, skipped_lines: replayed.skipped, load_fault: replayed.load_fault })
     }
 }
 
@@ -385,7 +518,6 @@ impl Manifest {
 /// future resume, never the run in progress.
 #[derive(Debug)]
 pub struct CheckpointWriter {
-    path: PathBuf,
     policy: IoRetryPolicy,
     inner: Mutex<WriterState>,
 }
@@ -474,36 +606,16 @@ fn write_durable_line(st: &mut WriterState, policy: &IoRetryPolicy, line: &[u8])
 }
 
 impl CheckpointWriter {
-    /// Creates (or truncates) the checkpoint file for a fresh sweep.
-    pub fn create(path: &Path) -> Result<CheckpointWriter, CheckpointError> {
-        Ok(CheckpointWriter::create_with(path, &REAL_FS))
-    }
-
-    /// Opens the checkpoint file for appending (creating it if missing), for
-    /// a resumed sweep.
-    pub fn append(path: &Path) -> Result<CheckpointWriter, CheckpointError> {
-        Ok(CheckpointWriter::append_with(path, &REAL_FS))
-    }
-
-    /// Like [`CheckpointWriter::create`], through an explicit backend.
+    /// Opens the journal at `path` through `backend`: truncated for a fresh
+    /// run, or with `resume` appended to (created if missing).
+    ///
     /// Infallible: a fatal open fault yields an already-quarantined writer
-    /// (the sweep runs without persistence) rather than an error.
-    pub fn create_with(path: &Path, backend: &dyn StorageBackend) -> CheckpointWriter {
-        CheckpointWriter::open_with(path, backend, false)
-    }
-
-    /// Like [`CheckpointWriter::append`], through an explicit backend, with
-    /// the same degrade-instead-of-fail contract as
-    /// [`CheckpointWriter::create_with`].
-    pub fn append_with(path: &Path, backend: &dyn StorageBackend) -> CheckpointWriter {
-        CheckpointWriter::open_with(path, backend, true)
-    }
-
-    fn open_with(path: &Path, backend: &dyn StorageBackend, append: bool) -> CheckpointWriter {
+    /// (the run continues without persistence) rather than an error.
+    pub fn open(path: &Path, backend: &dyn StorageBackend, resume: bool) -> CheckpointWriter {
         let policy = IoRetryPolicy::default();
         let mut attempt = 0u32;
         let state = loop {
-            let opened = if append { backend.open_append(path) } else { backend.create(path) };
+            let opened = if resume { backend.open_append(path) } else { backend.create(path) };
             match opened {
                 Ok(file) => break WriterState { file: Some(file), quarantined: None, dirty_tail: false },
                 Err(e) if classify(e.kind()) == FaultClass::Transient && policy.should_retry(attempt) => {
@@ -516,7 +628,7 @@ impl CheckpointWriter {
                     break WriterState {
                         file: None,
                         quarantined: Some(StorageFault {
-                            op: if append { StorageOp::Open } else { StorageOp::Create },
+                            op: if resume { StorageOp::Open } else { StorageOp::Create },
                             kind: e.kind(),
                             detail: e.to_string(),
                             retries: attempt,
@@ -526,7 +638,7 @@ impl CheckpointWriter {
                 }
             }
         };
-        CheckpointWriter { path: path.to_owned(), policy, inner: Mutex::new(state) }
+        CheckpointWriter { policy, inner: Mutex::new(state) }
     }
 
     /// The fault that quarantined this writer, if storage failed fatally.
@@ -534,70 +646,36 @@ impl CheckpointWriter {
         self.inner.lock().expect("checkpoint lock never held across user code").quarantined.clone()
     }
 
-    /// The journal path this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Appends one record as a single compact-JSON line, flushed **and
     /// fsynced**: once this returns, the record survives a `SIGKILL` — or a
     /// power cut — landing immediately after. A kill mid-call can tear at
     /// most the line in flight, which the lenient loader skips and counts.
-    pub fn record(
-        &self,
-        experiment: &str,
-        base_seed: u64,
-        rec: &CheckpointRecord,
-    ) -> Result<(), CheckpointError> {
-        self.append_json(&rec.to_json(experiment, base_seed))
+    pub fn record(&self, experiment: &str, base_seed: u64, rec: &CheckpointRecord) {
+        self.append_json(&rec.to_json(experiment, base_seed));
     }
 
-    /// Appends one arbitrary record as a single compact-JSON line with the
+    /// Appends one line (a point record or a [`transition_line`]) with the
     /// same flush+fsync durability contract as [`CheckpointWriter::record`].
-    /// The job journal writes its state transitions through this.
     ///
-    /// Storage faults never surface as `Err`: transients are retried per the
-    /// writer's [`IoRetryPolicy`], and a fatal fault quarantines the writer
-    /// (this and every later append return `Ok` without persisting — see
+    /// Storage faults never surface: transients are retried per the writer's
+    /// [`IoRetryPolicy`], and a fatal fault quarantines the writer (this and
+    /// every later append return without persisting — see
     /// [`CheckpointWriter::quarantine`]).
-    pub fn append_json(&self, record: &Json) -> Result<(), CheckpointError> {
+    pub(crate) fn append_json(&self, record: &Json) {
         let line = record.to_compact_string();
         let mut st = self.inner.lock().expect("checkpoint lock never held across user code");
         if st.quarantined.is_some() {
-            return Ok(());
+            return;
         }
         match write_durable_line(&mut st, &self.policy, line.as_bytes()) {
-            Ok(()) => {
-                telemetry::ckpt_line_written(line.len() as u64 + 1);
-                Ok(())
-            }
+            Ok(()) => telemetry::ckpt_line_written(line.len() as u64 + 1),
             Err(fault) => {
                 st.file = None;
                 st.quarantined = Some(fault);
                 telemetry::ckpt_journal_quarantined();
-                Ok(())
             }
         }
     }
-}
-
-/// Validates a self-hashed journal object: its `hash` field must equal the
-/// FNV-1a hash of the object with that field blanked. Job-state transitions
-/// are hashed this way, mirroring the row hash on point records.
-pub(crate) fn self_hash_valid(v: &Json) -> bool {
-    let (Json::Obj(pairs), Some(hash)) = (v, v.get("hash").and_then(Json::as_str)) else {
-        return false;
-    };
-    let blanked = Json::Obj(
-        pairs
-            .iter()
-            .map(|(k, val)| {
-                let val = if k == "hash" { Json::Str(String::new()) } else { val.clone() };
-                (k.clone(), val)
-            })
-            .collect(),
-    );
-    hash == format!("{:016x}", fnv1a64(blanked.to_compact_string().as_bytes()))
 }
 
 /// Classifies one journal/checkpoint line: `Some(key)` if the line is
@@ -612,22 +690,7 @@ pub(crate) fn self_hash_valid(v: &Json) -> bool {
 /// `examples/chaos_soak.rs` uses the same keys to prove no fsynced record
 /// was lost across a crash.
 pub fn journal_line_key(line: &str) -> Option<String> {
-    let v = report::parse(line).ok()?;
-    if v.get("kind").and_then(Json::as_str) == Some("transition") {
-        if !self_hash_valid(&v) {
-            return None;
-        }
-        let job_id = v.get("job_id").and_then(Json::as_str)?;
-        let status = v.get("status").and_then(Json::as_str)?;
-        let slot = if status == "admitted" { "admitted" } else { "terminal" };
-        return Some(format!("transition/{job_id}/{slot}"));
-    }
-    let (scope, seed) =
-        (v.get("experiment").and_then(Json::as_str)?, v.get("base_seed").and_then(Json::as_u64)?);
-    // Parse under the line's own identity: the key namespaces the scope, so
-    // records from different sweeps/jobs can share a file (the job journal).
-    let rec = CheckpointRecord::from_line(line, Path::new(""), scope, seed).ok()??;
-    Some(format!("point/{scope}/{seed}/{}", rec.point))
+    JournalLine::parse(line).key()
 }
 
 /// What [`repair_journal`] did to the file.
@@ -653,15 +716,7 @@ pub struct RepairSummary {
 ///
 /// Unlike the lenient loaders this returns real errors: a repair that
 /// cannot read, durably write, or rename has repaired nothing.
-pub fn repair_journal(path: &Path) -> Result<RepairSummary, CheckpointError> {
-    repair_journal_with(path, &REAL_FS)
-}
-
-/// Like [`repair_journal`], through an explicit [`StorageBackend`].
-pub fn repair_journal_with(
-    path: &Path,
-    backend: &dyn StorageBackend,
-) -> Result<RepairSummary, CheckpointError> {
+pub fn repair_journal(path: &Path, backend: &dyn StorageBackend) -> Result<RepairSummary, CheckpointError> {
     let text = match read_with_retry(path, backend) {
         Ok(Some(text)) => text,
         Ok(None) => {
@@ -862,26 +917,13 @@ pub(crate) fn outcome_record(point: usize, outcome: PointOutcome<Json>) -> Check
 /// on a resumed run that only re-runs a subset, so per-point seeds never
 /// shift. It returns the point's report row as [`Json`] inside a
 /// [`PointRun`]; panics are quarantined per the supervisor's retry budget.
-pub fn run_checkpointed<P, F>(
-    cfg: &CheckpointConfig<'_>,
-    points: &[P],
-    run_point: F,
-) -> Result<SweepOutcomes, CheckpointError>
-where
-    P: Sync + std::fmt::Debug,
-    F: Fn(&SweepCtx, &P) -> PointRun<Json> + Sync,
-{
-    run_checkpointed_fallible(cfg, points, |ctx, p| Ok(run_point(ctx, p)))
-}
-
-/// Like [`run_checkpointed`], for point functions that can fail with a typed
-/// script fault instead of a row.
 ///
-/// A faulting point is recorded as [`PointStatus::ScriptFault`] after a
-/// single attempt — script faults are deterministic, so retrying would burn
-/// the panic budget for nothing — and, unlike poisoned points, the record is
-/// **kept** on resume: re-running it would only reproduce the same fault.
-pub fn run_checkpointed_fallible<P, F>(
+/// A point that fails with a typed script fault is recorded as
+/// [`PointStatus::ScriptFault`] after a single attempt — script faults are
+/// deterministic, so retrying would burn the panic budget for nothing — and,
+/// unlike poisoned points, the record is **kept** on resume: re-running it
+/// would only reproduce the same fault.
+pub fn run_checkpointed<P, F>(
     cfg: &CheckpointConfig<'_>,
     points: &[P],
     run_point: F,
@@ -892,7 +934,7 @@ where
 {
     let backend: &dyn StorageBackend = cfg.backend.unwrap_or(&REAL_FS);
     let manifest = if cfg.resume {
-        Manifest::load_with(cfg.path, backend, cfg.experiment, cfg.base_seed)?
+        Manifest::load(cfg.path, backend, cfg.experiment, cfg.base_seed)?
     } else {
         Manifest::default()
     };
@@ -908,21 +950,16 @@ where
     telemetry::points_resumed(resumed_points as u64);
 
     let todo: Vec<(usize, &P)> = points.iter().enumerate().filter(|(i, _)| !slots.contains_key(i)).collect();
-    let writer = if cfg.resume {
-        CheckpointWriter::append_with(cfg.path, backend)
-    } else {
-        CheckpointWriter::create_with(cfg.path, backend)
-    };
+    let writer = CheckpointWriter::open(cfg.path, backend, cfg.resume);
     let supervisor = cfg.supervisor;
     let fresh = sweep::run(cfg.experiment, cfg.base_seed, &todo, cfg.pool.resolve(), |_, &(orig, p)| {
         let ctx = SweepCtx { experiment: cfg.experiment, point: orig, base_seed: cfg.base_seed };
-        let record = outcome_record(orig, sweep::supervised_point_fallible(&ctx, &supervisor, p, &run_point));
-        let written = writer.record(cfg.experiment, cfg.base_seed, &record);
+        let record = outcome_record(orig, sweep::supervised_point(&ctx, &supervisor, p, &run_point));
+        writer.record(cfg.experiment, cfg.base_seed, &record);
         telemetry::sample_boundary();
-        (record, written)
+        record
     });
-    for (record, written) in fresh {
-        written?;
+    for record in fresh {
         slots.insert(record.point, PointReport { record, resumed: false });
     }
 
@@ -958,7 +995,7 @@ mod tests {
     #[test]
     fn records_round_trip_through_the_file() {
         let path = temp_path("roundtrip");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::open(&path, &REAL_FS, false);
         let recs = [
             CheckpointRecord {
                 point: 0,
@@ -1010,9 +1047,9 @@ mod tests {
             },
         ];
         for rec in &recs {
-            writer.record("test", 7, rec).unwrap();
+            writer.record("test", 7, rec);
         }
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 0);
         assert_eq!(manifest.records.len(), 4);
         for rec in &recs {
@@ -1024,7 +1061,7 @@ mod tests {
     #[test]
     fn damaged_lines_are_skipped_and_last_record_wins() {
         let path = temp_path("damaged");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::open(&path, &REAL_FS, false);
         let mut rec = CheckpointRecord {
             point: 0,
             status: PointStatus::Completed,
@@ -1037,9 +1074,9 @@ mod tests {
             fuel_used: None,
             violations: vec![],
         };
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         rec.row = Some(row(5));
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         // A torn final line and a hash-tampered record.
         let mut text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.replace("\"value\":50", "\"value\":51");
@@ -1047,12 +1084,12 @@ mod tests {
         text.push_str("{\"experiment\":\"test\",\"base_se");
         std::fs::write(&path, &text).unwrap();
 
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 1, "the torn line");
         assert_eq!(manifest.records[&0].row, Some(row(5)), "last valid record wins");
 
         std::fs::write(&path, &tampered).unwrap();
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 1, "hash mismatch drops the record");
         assert_eq!(manifest.records[&0].row, Some(row(0)), "first record survives");
         std::fs::remove_file(&path).unwrap();
@@ -1061,7 +1098,7 @@ mod tests {
     #[test]
     fn truncation_mid_line_is_counted_and_prior_records_survive() {
         let path = temp_path("set-len");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::open(&path, &REAL_FS, false);
         for point in 0..3 {
             let rec = CheckpointRecord {
                 point,
@@ -1075,7 +1112,7 @@ mod tests {
                 fuel_used: None,
                 violations: vec![],
             };
-            writer.record("test", 7, &rec).unwrap();
+            writer.record("test", 7, &rec);
         }
         drop(writer);
         // Chop the file mid-way through the final line, as a SIGKILL (or a
@@ -1085,7 +1122,7 @@ mod tests {
         file.set_len(len - 20).unwrap();
         drop(file);
 
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 1, "the torn tail line is counted");
         assert_eq!(manifest.records.len(), 2, "fsynced predecessors survive intact");
         assert_eq!(manifest.records[&0].row, Some(row(0)));
@@ -1096,7 +1133,7 @@ mod tests {
     #[test]
     fn wrong_sweep_is_a_hard_error() {
         let path = temp_path("wrong");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::open(&path, &REAL_FS, false);
         let rec = CheckpointRecord {
             point: 0,
             status: PointStatus::Completed,
@@ -1109,18 +1146,19 @@ mod tests {
             fuel_used: None,
             violations: vec![],
         };
-        writer.record("test", 7, &rec).unwrap();
-        let err = Manifest::load(&path, "test", 8).unwrap_err();
+        writer.record("test", 7, &rec);
+        let err = Manifest::load(&path, &REAL_FS, "test", 8).unwrap_err();
         assert!(matches!(err, CheckpointError::WrongSweep { .. }), "{err}");
         assert!(err.to_string().contains("different sweep"), "{err}");
-        let err = Manifest::load(&path, "other", 7).unwrap_err();
+        let err = Manifest::load(&path, &REAL_FS, "other", 7).unwrap_err();
         assert!(matches!(err, CheckpointError::WrongSweep { .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn missing_file_is_an_empty_manifest() {
-        let manifest = Manifest::load(Path::new("/nonexistent/never/sweep.ckpt"), "test", 7).unwrap();
+        let manifest =
+            Manifest::load(Path::new("/nonexistent/never/sweep.ckpt"), &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest, Manifest::default());
     }
 
@@ -1128,7 +1166,10 @@ mod tests {
     fn checkpointed_sweep_resumes_exactly() {
         let points: Vec<u64> = (0..6).collect();
         let eval = |ctx: &SweepCtx, &p: &u64| {
-            PointRun::complete(Json::obj([("param", Json::U64(p)), ("seed", Json::U64(ctx.derived_seed()))]))
+            Ok(PointRun::complete(Json::obj([
+                ("param", Json::U64(p)),
+                ("seed", Json::U64(ctx.derived_seed())),
+            ])))
         };
         let full_path = temp_path("resume-full");
         let cfg = CheckpointConfig {
@@ -1185,7 +1226,7 @@ mod tests {
             if p == 1 && fail.load(Ordering::SeqCst) {
                 panic!("transient environment failure");
             }
-            PointRun::complete(Json::U64(p))
+            Ok(PointRun::complete(Json::U64(p)))
         };
         let cfg = CheckpointConfig {
             experiment: "poison",
@@ -1238,7 +1279,7 @@ mod tests {
             resume: false,
             backend: None,
         };
-        let full = run_checkpointed_fallible(&cfg, &points, eval).unwrap();
+        let full = run_checkpointed(&cfg, &points, eval).unwrap();
         let full_report = full.report().to_canonical_string();
         assert_eq!(full.points[2].record.status, PointStatus::ScriptFault);
         assert_eq!(full.points[2].record.script_id.as_deref(), Some("bomb.flua"));
@@ -1252,12 +1293,9 @@ mod tests {
         let full_text = std::fs::read_to_string(&full_path).unwrap();
         let lines: Vec<&str> = full_text.lines().take(4).collect();
         std::fs::write(&partial_path, format!("{}\n", lines.join("\n"))).unwrap();
-        let resumed = run_checkpointed_fallible(
-            &CheckpointConfig { path: &partial_path, resume: true, ..cfg },
-            &points,
-            eval,
-        )
-        .unwrap();
+        let resumed =
+            run_checkpointed(&CheckpointConfig { path: &partial_path, resume: true, ..cfg }, &points, eval)
+                .unwrap();
         assert_eq!(
             resumed.report().to_canonical_string(),
             full_report,
@@ -1275,7 +1313,7 @@ mod tests {
     fn fatal_read_degrades_to_an_empty_manifest_with_a_typed_fault() {
         // Reading a directory as a file is a fatal (non-NotFound) error.
         let dir = std::env::temp_dir();
-        let manifest = Manifest::load(&dir, "test", 7).unwrap();
+        let manifest = Manifest::load(&dir, &REAL_FS, "test", 7).unwrap();
         assert!(manifest.records.is_empty());
         let fault = manifest.load_fault.expect("fatal read must surface a typed fault");
         assert_eq!(fault.op, StorageOp::Read);
@@ -1284,7 +1322,7 @@ mod tests {
 
     #[test]
     fn repairing_a_missing_journal_is_a_typed_io_error() {
-        let err = repair_journal(Path::new("/nonexistent/never/sweep.ckpt")).unwrap_err();
+        let err = repair_journal(Path::new("/nonexistent/never/sweep.ckpt"), &REAL_FS).unwrap_err();
         let CheckpointError::Io { kind, .. } = err else { panic!("expected Io, got {err}") };
         assert_eq!(kind, std::io::ErrorKind::NotFound);
     }
@@ -1295,14 +1333,14 @@ mod tests {
         let schedule = FaultSchedule { fsync_fail_permille: 1000, ..FaultSchedule::quiet(17) };
         let chaos = ChaosFs::new(schedule);
         let path = temp_path("fsync-quarantine");
-        let writer = CheckpointWriter::create_with(&path, &chaos);
+        let writer = CheckpointWriter::open(&path, &chaos, false);
         assert!(writer.quarantine().is_none(), "opening alone does not fsync");
         let rec = CheckpointRecord::cancelled(0);
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         let fault = writer.quarantine().expect("the first fsync fails and quarantines");
         assert_eq!(fault.op, StorageOp::Fsync);
         // Later appends are silent no-ops: the run continues unpersisted.
-        writer.record("test", 7, &CheckpointRecord::cancelled(1)).unwrap();
+        writer.record("test", 7, &CheckpointRecord::cancelled(1));
         assert_eq!(chaos.stats().injected.get("fsync_fail"), Some(&1), "no retried fsync");
         std::fs::remove_file(&path).unwrap();
     }
@@ -1312,7 +1350,10 @@ mod tests {
         use crate::chaosfs::{ChaosFs, FaultSchedule};
         let points: Vec<u64> = (0..5).collect();
         let eval = |ctx: &SweepCtx, &p: &u64| {
-            PointRun::complete(Json::obj([("param", Json::U64(p)), ("seed", Json::U64(ctx.derived_seed()))]))
+            Ok(PointRun::complete(Json::obj([
+                ("param", Json::U64(p)),
+                ("seed", Json::U64(ctx.derived_seed())),
+            ])))
         };
         let clean_path = temp_path("enospc-clean");
         let cfg = CheckpointConfig {
@@ -1359,7 +1400,7 @@ mod tests {
         };
         let chaos = ChaosFs::new(schedule);
         let path = temp_path("transient");
-        let writer = CheckpointWriter::create_with(&path, &chaos);
+        let writer = CheckpointWriter::open(&path, &chaos, false);
         for point in 0..40 {
             let rec = CheckpointRecord {
                 point,
@@ -1373,11 +1414,11 @@ mod tests {
                 fuel_used: None,
                 violations: vec![],
             };
-            writer.record("test", 7, &rec).unwrap();
+            writer.record("test", 7, &rec);
         }
         assert!(writer.quarantine().is_none(), "transients alone never quarantine");
         assert!(!chaos.stats().injected.is_empty(), "this schedule injects within 40 records");
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.records.len(), 40, "every record survives the chaos");
         for point in 0..40 {
             assert_eq!(manifest.records[&point].row, Some(row(point)));
@@ -1388,7 +1429,7 @@ mod tests {
     #[test]
     fn repair_keeps_the_last_valid_line_per_slot_and_drops_damage() {
         let path = temp_path("repair");
-        let writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::open(&path, &REAL_FS, false);
         let mut rec = CheckpointRecord {
             point: 0,
             status: PointStatus::Completed,
@@ -1401,12 +1442,12 @@ mod tests {
             fuel_used: None,
             violations: vec![],
         };
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         rec.row = Some(row(5));
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         rec.point = 1;
         rec.row = Some(row(1));
-        writer.record("test", 7, &rec).unwrap();
+        writer.record("test", 7, &rec);
         // Damage: a tampered duplicate of point 1 and a torn tail.
         let mut text = std::fs::read_to_string(&path).unwrap();
         let tampered = text.lines().last().unwrap().replace("\"value\":10", "\"value\":11");
@@ -1415,7 +1456,7 @@ mod tests {
         text.push_str("{\"experiment\":\"test\",\"base_se");
         std::fs::write(&path, &text).unwrap();
 
-        let summary = repair_journal(&path).unwrap();
+        let summary = repair_journal(&path, &REAL_FS).unwrap();
         assert_eq!(summary.lines_seen, 5);
         assert_eq!(summary.kept, 2, "one line per point slot");
         assert_eq!(summary.dropped, 3, "superseded + tampered + torn");
@@ -1423,7 +1464,7 @@ mod tests {
 
         let repaired = std::fs::read_to_string(&path).unwrap();
         assert_eq!(repaired.lines().count(), 2);
-        let manifest = Manifest::load(&path, "test", 7).unwrap();
+        let manifest = Manifest::load(&path, &REAL_FS, "test", 7).unwrap();
         assert_eq!(manifest.skipped_lines, 0, "a repaired journal is fully valid");
         assert_eq!(manifest.records[&0].row, Some(row(5)), "last valid line won");
         assert_eq!(manifest.records[&1].row, Some(row(1)), "tampered duplicate lost");
@@ -1436,5 +1477,36 @@ mod tests {
         assert_eq!(journal_line_key(&rec).as_deref(), Some("point/job-a/9/3"));
         assert_eq!(journal_line_key("not json"), None);
         assert_eq!(journal_line_key(&rec[..rec.len() - 4]), None, "torn lines have no key");
+        let admitted = transition_line("job-a", "t", "e2", 9, "admitted", "ab").to_compact_string();
+        assert_eq!(journal_line_key(&admitted).as_deref(), Some("transition/job-a/admitted"));
+        let done = transition_line("job-a", "t", "e2", 9, "completed", "ab").to_compact_string();
+        assert_eq!(journal_line_key(&done).as_deref(), Some("transition/job-a/terminal"));
+        let forged = done.replace("completed", "cancelled");
+        assert_eq!(journal_line_key(&forged), None, "a transition must match its self-hash");
+    }
+
+    #[test]
+    fn each_line_is_decoded_once_into_claim_and_entry() {
+        let rec = CheckpointRecord::cancelled(3).to_json("job-a", 9).to_compact_string();
+        let line = JournalLine::parse(&rec);
+        assert_eq!(line.claim, Some(("job-a".to_owned(), 9)));
+        assert!(
+            matches!(line.entry, Some(JournalEntry::Point(ref r)) if *r == CheckpointRecord::cancelled(3))
+        );
+        // A damaged body keeps its claim, so a sweep loader can still reject
+        // a foreign file loudly.
+        let tampered = rec.replace("\"hash\":\"\"", "\"hash\":\"00\"");
+        assert_ne!(tampered, rec);
+        let line = JournalLine::parse(&tampered);
+        assert_eq!(line.claim, Some(("job-a".to_owned(), 9)));
+        assert!(line.entry.is_none());
+        let t = transition_line("job-a", "t", "e2", 9, "admitted", "ab").to_compact_string();
+        let line = JournalLine::parse(&t);
+        assert_eq!(line.claim, Some(("e2".to_owned(), 9)));
+        assert!(matches!(
+            line.entry,
+            Some(JournalEntry::Transition { ref job_id, ref status, ref identity })
+                if job_id == "job-a" && status == "admitted" && identity.as_deref() == Some("ab")
+        ));
     }
 }

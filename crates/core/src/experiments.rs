@@ -3,7 +3,7 @@
 //!
 //! Every grid-shaped experiment runs its points through the deterministic
 //! parallel [`crate::sweep`] runner: the plain entry points size the worker
-//! pool from the environment ([`crate::sweep::threads_from_env`]), and the
+//! pool from the environment ([`crate::sweep::PoolConfig::resolve`]), and the
 //! `_t`-suffixed variants take an explicit thread count. Output is
 //! byte-identical at every thread count (asserted by
 //! `tests/sweep_parallel.rs`).
@@ -158,7 +158,7 @@ pub struct E2Row {
 
 /// Runs E2 across `patch_rates` on a LAN of `n` hosts for `days`.
 pub fn e2_zero_day_ablation(seed: u64, n: usize, days: u64, patch_rates: &[f64]) -> Vec<E2Row> {
-    e2_zero_day_ablation_t(seed, n, days, patch_rates, sweep::threads_from_env())
+    e2_zero_day_ablation_t(seed, n, days, patch_rates, sweep::PoolConfig::default().resolve())
 }
 
 /// E2 with an explicit worker count. Each patch rate is an independent sweep
@@ -203,7 +203,7 @@ pub struct E3Row {
 
 /// Runs E3: the same infection against targeted and non-targeted plants.
 pub fn e3_plc_targeting(seed: u64, days: u64) -> Vec<E3Row> {
-    e3_plc_targeting_t(seed, days, sweep::threads_from_env())
+    e3_plc_targeting_t(seed, days, sweep::PoolConfig::default().resolve())
 }
 
 /// E3 with an explicit worker count. The two arms form a paired ablation —
@@ -277,7 +277,7 @@ pub struct E4Row {
 
 /// Runs E4 for each LAN size, with and without the MITM.
 pub fn e4_wpad_mitm(seed: u64, lan_sizes: &[usize], hours: u64) -> Vec<E4Row> {
-    e4_wpad_mitm_t(seed, lan_sizes, hours, sweep::threads_from_env())
+    e4_wpad_mitm_t(seed, lan_sizes, hours, sweep::PoolConfig::default().resolve())
 }
 
 /// E4 with an explicit worker count; the grid is the cross product of LAN
@@ -398,7 +398,7 @@ pub struct E6Row {
 
 /// Runs E6: `clients` clients, sweeping takedown fractions.
 pub fn e6_candc_resilience(seed: u64, clients: usize, fractions: &[f64]) -> Vec<E6Row> {
-    e6_candc_resilience_t(seed, clients, fractions, sweep::threads_from_env())
+    e6_candc_resilience_t(seed, clients, fractions, sweep::PoolConfig::default().resolve())
 }
 
 /// E6 with an explicit worker count; each takedown fraction is an
@@ -513,7 +513,7 @@ pub struct E8Row {
 
 /// Runs E8: metadata-first triage vs upload-everything.
 pub fn e8_exfil_ablation(seed: u64, clients: usize, days: u64) -> Vec<E8Row> {
-    e8_exfil_ablation_t(seed, clients, days, sweep::threads_from_env())
+    e8_exfil_ablation_t(seed, clients, days, sweep::PoolConfig::default().resolve())
 }
 
 /// E8 with an explicit worker count. A paired ablation: both arms seed from
@@ -630,9 +630,6 @@ pub fn e9_shamoon_wipe_run(seed: u64, zones: usize, hosts_per_zone: usize, seede
 /// E10 (§V): the derived trend matrix after running all three campaigns.
 pub fn e10_trend_matrix(seed: u64) -> Vec<malsim_analysis::trends::TrendProfile> {
     // One compact world where all three campaigns have acted.
-    let e1 = e1_stuxnet_end_to_end(seed, 10);
-    let _ = e1;
-    // Build a fresh combined run for profile derivation.
     let (mut world, mut sim) = ScenarioBuilder::new(seed).office_lan(12);
     let pki = Pki::install(&mut world);
     pki.arm_stuxnet(&mut world);
@@ -687,7 +684,7 @@ pub struct E11Row {
 /// Runs E11: sweeps an abstract aggressiveness parameter; each action spends
 /// behaviour-budget points on the host AV.
 pub fn e11_stealth_tradeoff(seed: u64, lan: usize, levels: &[f64]) -> Vec<E11Row> {
-    e11_stealth_tradeoff_t(seed, lan, levels, sweep::threads_from_env())
+    e11_stealth_tradeoff_t(seed, lan, levels, sweep::PoolConfig::default().resolve())
 }
 
 /// E11 with an explicit worker count; each action rate is an independent
@@ -740,7 +737,7 @@ pub struct E12Row {
 
 /// Runs E12: forensic sweep before vs after the fleet-wide SUICIDE.
 pub fn e12_suicide_forensics(seed: u64, lan: usize) -> Vec<E12Row> {
-    e12_suicide_forensics_t(seed, lan, sweep::threads_from_env())
+    e12_suicide_forensics_t(seed, lan, sweep::PoolConfig::default().resolve())
 }
 
 /// E12 with an explicit worker count. A paired ablation: both arms seed from
@@ -808,7 +805,7 @@ pub struct E13Row {
 /// the hidden-database ferry recovers blocked clients' documents for every
 /// fraction below 1.0 — at full takedown the documents strand on the stick.
 pub fn e13_takedown_resilience(seed: u64, clients: usize, days: u64, fractions: &[f64]) -> Vec<E13Row> {
-    e13_takedown_resilience_t(seed, clients, days, fractions, sweep::threads_from_env())
+    e13_takedown_resilience_t(seed, clients, days, fractions, sweep::PoolConfig::default().resolve())
 }
 
 /// E13 with an explicit worker count.
@@ -876,7 +873,7 @@ pub fn e13_takedown_resilience_supervised(
             check_invariants: opts.supervisor.check_invariants,
         };
         let (row, _, truncation, violations) = e13_point_opt(ctx, frac, clients, days, point_opts);
-        sweep::PointRun { result: row.to_json(), truncation, violations }
+        Ok(sweep::PointRun { result: row.to_json(), truncation, violations })
     })
 }
 

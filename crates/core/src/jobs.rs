@@ -13,7 +13,7 @@
 //! ## Containment
 //!
 //! Each point runs under the job's own supervisor
-//! ([`sweep::supervised_point_fallible`]): panics are retried with linear
+//! ([`sweep::supervised_point`]): panics are retried with linear
 //! backoff up to the budget and then quarantined as poisoned, script faults
 //! are typed and final, and the per-point watchdog truncates over-budget
 //! simulations. None of these kill the queue — they fold into the job's
@@ -34,7 +34,8 @@
 //!
 //! With a journal configured, the queue appends one fsynced compact-JSON
 //! line per state transition (admission, each point record, the terminal
-//! verdict), FNV-hashed exactly like checkpoint records. A `SIGKILL`'d
+//! verdict) in the [`checkpoint`] line format, which that module alone
+//! builds and parses; resume is a fold over its decoded lines. A `SIGKILL`'d
 //! queue resumed with the same submissions replays the journal and
 //! reproduces every finished job's report byte-identically without
 //! re-evaluating its points; a changed resubmission is rejected with
@@ -57,6 +58,7 @@
 //! Jobs with a host-clock deadline are nondeterministic and never cached.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -64,8 +66,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use malsim_kernel::sched::Watchdog;
 
 use crate::chaosfs::{StorageBackend, StorageFault, REAL_FS};
-use crate::checkpoint::{self, fnv1a64, CheckpointError, CheckpointRecord, CheckpointWriter, PointStatus};
-use crate::report::{self, Json};
+use crate::checkpoint::{
+    self, CheckpointError, CheckpointRecord, CheckpointWriter, JournalEntry, PointStatus,
+};
+use crate::report::Json;
 use crate::sweep::{self, PointRun, PoolConfig, ScriptFaultInfo, SweepCtx, SweepSupervisor};
 use crate::telemetry;
 
@@ -211,7 +215,7 @@ impl JobSpec {
             ("event_budget", self.budget.event_budget.map_or(Json::Null, Json::U64)),
             ("grid", Json::Arr(self.grid.clone())),
         ]);
-        format!("{:016x}", fnv1a64(key.to_compact_string().as_bytes()))
+        checkpoint::digest(&key.to_compact_string())
     }
 
     /// The content address of one point's result: `(address, key)` where
@@ -232,8 +236,7 @@ impl JobSpec {
             ("params", self.grid[point].clone()),
         ])
         .to_compact_string();
-        let addr = format!("{:016x}", fnv1a64(key.as_bytes()));
-        (addr, key)
+        (checkpoint::digest(&key), key)
     }
 }
 
@@ -598,23 +601,16 @@ struct JournalJob {
     records: BTreeMap<usize, CheckpointRecord>,
 }
 
-/// Builds one self-hashed transition line. The hash field covers the line
-/// with itself blanked, mirroring the row hash on point records.
+/// The journal line recording `spec`'s transition to `status`.
 fn transition(spec: &JobSpec, status: &str) -> Json {
-    let fields = |hash: &str| {
-        Json::obj([
-            ("kind", "transition".into()),
-            ("job_id", spec.job_id.as_str().into()),
-            ("tenant", spec.tenant.as_str().into()),
-            ("experiment", spec.experiment.into()),
-            ("base_seed", Json::U64(spec.base_seed)),
-            ("status", status.into()),
-            ("identity", spec.identity_hash().into()),
-            ("hash", hash.into()),
-        ])
-    };
-    let hash = format!("{:016x}", fnv1a64(fields("").to_compact_string().as_bytes()));
-    fields(&hash)
+    checkpoint::transition_line(
+        &spec.job_id,
+        &spec.tenant,
+        spec.experiment,
+        spec.base_seed,
+        status,
+        &spec.identity_hash(),
+    )
 }
 
 /// What a journal replay recovered.
@@ -627,70 +623,36 @@ struct JournalLoad {
     load_fault: Option<StorageFault>,
 }
 
-/// Replays a job journal through `backend`. Damaged lines (torn writes,
-/// failed hashes) are skipped and counted; a missing file is an empty
-/// journal; a fatal read fault degrades to an empty journal with the typed
-/// reason in [`JournalLoad::load_fault`].
-fn load_journal(path: &Path, backend: &dyn StorageBackend) -> Result<JournalLoad, CheckpointError> {
-    let text = match checkpoint::read_with_retry(path, backend) {
-        Ok(Some(text)) => text,
-        Ok(None) => return Ok(JournalLoad::default()),
-        Err(fault) => {
-            telemetry::ckpt_journal_quarantined();
-            return Ok(JournalLoad { load_fault: Some(fault), ..JournalLoad::default() });
-        }
-    };
+/// Replays a job journal through `backend`, folding each decoded line into
+/// its job: transitions set the admitted identity or the terminal verdict,
+/// point records (scoped by job id) fill the job's slots. Damaged lines are
+/// skipped and counted; a missing file is an empty journal; a fatal read
+/// fault degrades to an empty journal with the typed reason in
+/// [`JournalLoad::load_fault`].
+fn load_journal(path: &Path, backend: &dyn StorageBackend) -> JournalLoad {
     let mut jobs: BTreeMap<String, JournalJob> = BTreeMap::new();
-    let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(v) = report::parse(line) else {
-            skipped += 1;
-            continue;
-        };
-        if v.get("kind").and_then(Json::as_str) == Some("transition") {
-            // Integrity gate: the self-hash must cover the line with its own
-            // hash field blanked (shared with the repair pass).
-            let (Some(job_id), Some(status)) =
-                (v.get("job_id").and_then(Json::as_str), v.get("status").and_then(Json::as_str))
-            else {
-                skipped += 1;
-                continue;
-            };
-            if !checkpoint::self_hash_valid(&v) {
-                skipped += 1;
-                continue;
-            }
-            let entry = jobs.entry(job_id.to_owned()).or_default();
-            if status == "admitted" {
-                entry.identity = v.get("identity").and_then(Json::as_str).map(str::to_owned);
-            } else if let Some(s) = JobStatus::from_label(status) {
-                entry.terminal = Some(s);
-            } else {
-                skipped += 1;
-            }
-        } else {
-            // A point record; its `experiment` field carries the job id, so
-            // parse it under the line's own identity (`from_line` still
-            // validates status and row hash).
-            let (Some(job_id), Some(seed)) =
-                (v.get("experiment").and_then(Json::as_str), v.get("base_seed").and_then(Json::as_u64))
-            else {
-                skipped += 1;
-                continue;
-            };
-            match CheckpointRecord::from_line(line, path, job_id, seed)? {
-                Some(rec) => {
-                    jobs.entry(job_id.to_owned()).or_default().records.insert(rec.point, rec);
+    let Ok(replayed) = checkpoint::replay(path, backend, |line| -> Result<bool, Infallible> {
+        Ok(match (line.claim, line.entry) {
+            (_, Some(JournalEntry::Transition { job_id, status, identity })) => {
+                let entry = jobs.entry(job_id).or_default();
+                if status == "admitted" {
+                    entry.identity = identity;
+                    true
+                } else if let Some(s) = JobStatus::from_label(&status) {
+                    entry.terminal = Some(s);
+                    true
+                } else {
+                    false
                 }
-                None => skipped += 1,
             }
-        }
-    }
-    telemetry::ckpt_damaged_lines(skipped as u64);
-    Ok(JournalLoad { jobs, skipped, load_fault: None })
+            (Some((job_id, _)), Some(JournalEntry::Point(rec))) => {
+                jobs.entry(job_id).or_default().records.insert(rec.point, rec);
+                true
+            }
+            _ => false,
+        })
+    });
+    JournalLoad { jobs, skipped: replayed.skipped, load_fault: replayed.load_fault }
 }
 
 /// One entry of the content-addressed result cache / claim table.
@@ -742,13 +704,11 @@ struct Sched {
     /// Per-tenant virtual time: the tenant with the smallest clock is
     /// dispatched next; each dispatch advances it by `QUANTUM / weight`.
     vtime: BTreeMap<String, u64>,
-    /// First journal failure; aborts the run.
-    error: Option<CheckpointError>,
 }
 
 impl Sched {
     fn all_done(&self) -> bool {
-        self.error.is_some() || self.jobs.iter().all(|j| j.done)
+        self.jobs.iter().all(|j| j.done)
     }
 }
 
@@ -788,7 +748,7 @@ impl JobQueue {
     /// [`QueueRun::storage_degraded`].
     pub fn new(cfg: QueueConfig) -> Result<JobQueue, JobError> {
         let loaded = match (&cfg.journal, cfg.resume) {
-            (Some(path), true) => load_journal(path, cfg.storage.as_deref().unwrap_or(&REAL_FS))?,
+            (Some(path), true) => load_journal(path, cfg.storage.as_deref().unwrap_or(&REAL_FS)),
             _ => JournalLoad::default(),
         };
         Ok(JobQueue {
@@ -864,13 +824,7 @@ impl JobQueue {
     {
         let JobQueue { cfg, specs, tokens, journal_jobs, journal_skipped, journal_fault } = self;
         let backend: &dyn StorageBackend = cfg.storage.as_deref().unwrap_or(&REAL_FS);
-        let writer = cfg.journal.as_ref().map(|path| {
-            if cfg.resume {
-                CheckpointWriter::append_with(path, backend)
-            } else {
-                CheckpointWriter::create_with(path, backend)
-            }
-        });
+        let writer = cfg.journal.as_ref().map(|path| CheckpointWriter::open(path, backend, cfg.resume));
         let writer = writer.as_ref();
 
         // Seed per-job state: restore journal records, register resumed
@@ -902,7 +856,7 @@ impl JobQueue {
                         if let std::collections::btree_map::Entry::Vacant(slot) = st.records.entry(idx) {
                             let rec = CheckpointRecord::cancelled(idx);
                             if let Some(w) = writer {
-                                w.record(&spec.job_id, spec.base_seed, &rec)?;
+                                w.record(&spec.job_id, spec.base_seed, &rec);
                             }
                             slot.insert(rec);
                             telemetry::jobs_cancelled_points(1);
@@ -910,7 +864,7 @@ impl JobQueue {
                     }
                 }
             } else if let Some(w) = writer {
-                w.append_json(&transition(spec, "admitted"))?;
+                w.append_json(&transition(spec, "admitted"));
             }
             if spec.budget.cacheable() {
                 for (&idx, rec) in &st.records {
@@ -939,7 +893,7 @@ impl JobQueue {
                             let mut copy = rec.clone();
                             copy.point = idx;
                             if let Some(w) = writer {
-                                w.record(&spec.job_id, spec.base_seed, &copy)?;
+                                w.record(&spec.job_id, spec.base_seed, &copy);
                             }
                             st.records.insert(idx, copy);
                             st.cached += 1;
@@ -977,9 +931,6 @@ impl JobQueue {
         });
 
         let sched = sched.into_inner().expect("scheduler lock never held across a panic");
-        if let Some(e) = sched.error {
-            return Err(JobError::Journal(e));
-        }
         // End-of-run WFQ fairness: each tenant's virtual-time lag behind the
         // fleet minimum. Final vtimes are a pure function of the dispatch
         // counts, so the gauge is deterministic for deterministic workloads.
@@ -1065,8 +1016,7 @@ fn worker<F>(
             seed_policy: spec.seed_policy,
             watchdog: supervisor.watchdog(),
         };
-        let outcome =
-            sweep::supervised_point_fallible(&ctx, &supervisor, &jp, &|_, p: &JobPoint<'_>| run_point(p));
+        let outcome = sweep::supervised_point(&ctx, &supervisor, &jp, &|_, p: &JobPoint<'_>| run_point(p));
         let record = checkpoint::outcome_record(task.point, outcome);
 
         guard = sched.lock().expect("scheduler lock never held across a panic");
@@ -1100,14 +1050,6 @@ fn pick(sched: &mut Sched, specs: &[JobSpec]) -> Option<Task> {
     Some(Task { job: j, point })
 }
 
-/// Folds a journal failure into the scheduler (first one wins; the run
-/// aborts and reports it).
-fn note_error(sched: &mut Sched, result: Result<(), CheckpointError>) {
-    if let Err(e) = result {
-        sched.error.get_or_insert(e);
-    }
-}
-
 /// Records a finished evaluation: journals it, fulfils the point's claim
 /// for parked duplicates (or promotes a duplicate if the result is
 /// poisoned and thus unshareable), and books the record.
@@ -1120,7 +1062,7 @@ fn complete(
 ) {
     let spec = &specs[task.job];
     if let Some(w) = writer {
-        note_error(sched, w.record(&spec.job_id, spec.base_seed, &record));
+        w.record(&spec.job_id, spec.base_seed, &record);
     }
     if spec.budget.cacheable() {
         let (addr, _) = spec.cache_key(task.point);
@@ -1182,7 +1124,7 @@ fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken], writer: 
         for &idx in pending.iter().chain(parked.iter().map(|(idx, _)| idx)) {
             let rec = CheckpointRecord::cancelled(idx);
             if let Some(w) = writer {
-                note_error(sched, w.record(&spec.job_id, spec.base_seed, &rec));
+                w.record(&spec.job_id, spec.base_seed, &rec);
             }
             sched.jobs[j].records.insert(idx, rec);
         }
@@ -1211,7 +1153,7 @@ fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken], writer: 
                     let mut copy = rec.clone();
                     copy.point = idx;
                     if let Some(w) = writer {
-                        note_error(sched, w.record(&spec.job_id, spec.base_seed, &copy));
+                        w.record(&spec.job_id, spec.base_seed, &copy);
                     }
                     sched.jobs[j].records.insert(idx, copy);
                     sched.jobs[j].cached += 1;
@@ -1233,7 +1175,7 @@ fn settle(sched: &mut Sched, specs: &[JobSpec], tokens: &[CancelToken], writer: 
         sched.jobs[j].done = true;
         if let Some(w) = writer {
             if !sched.jobs[j].had_terminal {
-                note_error(sched, w.append_json(&transition(spec, status.label())));
+                w.append_json(&transition(spec, status.label()));
             }
         }
     }
@@ -1297,12 +1239,12 @@ mod tests {
         let line = transition(&s, "admitted").to_compact_string();
         let path = std::env::temp_dir().join(format!("malsim-jobs-transition-{}.jnl", std::process::id()));
         std::fs::write(&path, format!("{line}\n")).unwrap();
-        let loaded = load_journal(&path, &REAL_FS).unwrap();
+        let loaded = load_journal(&path, &REAL_FS);
         assert_eq!(loaded.skipped, 0);
         assert_eq!(loaded.jobs["job-a"].identity.as_deref(), Some(s.identity_hash().as_str()));
         // A tampered status fails the self-hash and is counted, not trusted.
         std::fs::write(&path, format!("{}\n", line.replace("admitted", "cancelled"))).unwrap();
-        let loaded = load_journal(&path, &REAL_FS).unwrap();
+        let loaded = load_journal(&path, &REAL_FS);
         assert_eq!(loaded.skipped, 1);
         assert!(loaded.jobs.is_empty());
         std::fs::remove_file(&path).unwrap();

@@ -263,7 +263,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// Parses a JSON document (the subset the canonical writer emits, plus
 /// arbitrary whitespace). Returns a readable error on malformed input.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -274,6 +274,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -402,12 +403,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // at char boundaries is safe via chars()).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape in
+                    // one slice. Both delimiters are ASCII, so the run ends
+                    // on a char boundary of the `&str` input.
+                    let run = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\');
+                    let end = run.map_or(self.bytes.len(), |n| self.pos + n);
+                    s.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -535,6 +537,21 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = Json::Str("a\"b\\c\nd\te\u{1}f — ünïcode".into());
         assert_eq!(parse(&v.to_canonical_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn megabyte_strings_round_trip_in_linear_time() {
+        // A 1 MiB value mixing ASCII, multi-byte scalars and escapes. The
+        // parser copies unescaped runs as slices; scanning the rest of the
+        // input per character made this quadratic (hours, not milliseconds).
+        let unit = "trace event — ünïcode \"quoted\" \\ tab\t line\n";
+        let value: String = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(value.len() >= 1 << 20);
+        let doc = Json::obj([("trace", Json::Str(value)), ("tail", Json::U64(7))]);
+        for text in [doc.to_compact_string(), doc.to_canonical_string()] {
+            let back = parse(&text).expect("large document parses");
+            assert_eq!(back, doc);
+        }
     }
 
     #[test]

@@ -25,6 +25,14 @@
 //! fault prefixes, and differ only in the treatment — the paired design the
 //! shape tests rely on.
 //!
+//! ## Supervision
+//!
+//! [`run_supervised`] (and its per-point core, [`supervised_point`]) adds
+//! panic isolation, retries and script-fault tagging. The point closure
+//! returns `Result<PointRun<R>, ScriptFaultInfo>`; points that cannot fault
+//! return `Ok`. Worker counts come from [`PoolConfig`], and
+//! `PoolConfig::default().resolve()` sizes the pool from the environment.
+//!
 //! The contract survives hostile storage, too: the checkpointed runner
 //! ([`crate::checkpoint`]) persists through a [`crate::chaosfs`] backend
 //! that retries transient I/O faults and quarantines on fatal ones, so a
@@ -82,11 +90,6 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// Defer entirely to the environment (`MALSIM_THREADS`, then core count).
-    pub fn from_env() -> PoolConfig {
-        PoolConfig { threads: None }
-    }
-
     /// A fixed worker count, ignoring the environment.
     pub const fn explicit(threads: usize) -> PoolConfig {
         PoolConfig { threads: Some(threads) }
@@ -104,13 +107,6 @@ impl PoolConfig {
             },
         }
     }
-}
-
-/// Worker-thread count for sweeps: `MALSIM_THREADS` if set (minimum 1),
-/// otherwise the machine's available parallelism. Shorthand for
-/// [`PoolConfig::from_env`]`.resolve()`.
-pub fn threads_from_env() -> usize {
-    PoolConfig::from_env().resolve()
 }
 
 /// Evaluates `run_point` over every point of `points` on up to `threads`
@@ -252,8 +248,8 @@ impl<R> PointRun<R> {
 /// How a scenario script failed at one grid point: the typed fault rendered
 /// for the report, plus enough context to reproduce and triage it.
 ///
-/// Produced by fallible point closures (see [`supervised_point_fallible`]);
-/// the sweep turns it into [`PointOutcome::ScriptFault`].
+/// Point closures return it as their `Err` (see [`supervised_point`]); the
+/// sweep turns it into [`PointOutcome::ScriptFault`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScriptFaultInfo {
     /// The script's manifest name (or a stable synthetic id).
@@ -334,6 +330,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// `1 + retries` attempts with each panic caught and the last one quarantined
 /// as [`PointOutcome::Poisoned`].
 ///
+/// The two failure modes are handled differently: a panic is assumed
+/// transient-ish and retried up to the supervisor's budget; an
+/// `Err(ScriptFaultInfo)` is deterministic (the same script faults the same
+/// way on every attempt), so it is tagged as [`PointOutcome::ScriptFault`]
+/// immediately without burning a retry. Points that cannot fault return
+/// `Ok`.
+///
 /// # Unwind safety
 ///
 /// The `catch_unwind` here uses `AssertUnwindSafe`, which is sound under the
@@ -344,27 +347,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// for the retry — or any other point — to observe. Closures that mutate
 /// shared state through interior mutability are outside the contract.
 pub fn supervised_point<P, R, F>(
-    ctx: &SweepCtx,
-    supervisor: &SweepSupervisor,
-    point: &P,
-    run_point: &F,
-) -> PointOutcome<R>
-where
-    P: std::fmt::Debug,
-    F: Fn(&SweepCtx, &P) -> PointRun<R>,
-{
-    supervised_point_fallible(ctx, supervisor, point, &|ctx: &SweepCtx, p: &P| Ok(run_point(ctx, p)))
-}
-
-/// [`supervised_point`] for points that can fail with a typed script fault
-/// in addition to panicking.
-///
-/// The two failure modes are handled differently: a panic is assumed
-/// transient-ish and retried up to the supervisor's budget; an
-/// `Err(ScriptFaultInfo)` is deterministic (the same script faults the same
-/// way on every attempt), so it is tagged as
-/// [`PointOutcome::ScriptFault`] immediately without burning a retry.
-pub fn supervised_point_fallible<P, R, F>(
     ctx: &SweepCtx,
     supervisor: &SweepSupervisor,
     point: &P,
@@ -419,7 +401,8 @@ where
 /// [`run`] with per-point supervision: a panicking point is retried up to
 /// `supervisor.retries` times and then quarantined as
 /// [`PointOutcome::Poisoned`] instead of aborting the sweep, so the other
-/// `n - 1` points still complete.
+/// `n - 1` points still complete. A point returning `Err(ScriptFaultInfo)`
+/// becomes [`PointOutcome::ScriptFault`] (no retries).
 ///
 /// `run_point` is responsible for honouring the supervisor's watchdog and
 /// invariant settings when it builds its simulation (see
@@ -438,31 +421,10 @@ pub fn run_supervised<P, R, F>(
 where
     P: Sync + std::fmt::Debug,
     R: Send,
-    F: Fn(&SweepCtx, &P) -> PointRun<R> + Sync,
-{
-    run(experiment, base_seed, points, pool.resolve(), |ctx, p| {
-        supervised_point(ctx, supervisor, p, &run_point)
-    })
-}
-
-/// [`run_supervised`] for fallible point closures: a point returning
-/// `Err(ScriptFaultInfo)` becomes [`PointOutcome::ScriptFault`] (no retries)
-/// while the rest of the grid completes normally.
-pub fn run_supervised_fallible<P, R, F>(
-    experiment: &'static str,
-    base_seed: u64,
-    points: &[P],
-    pool: PoolConfig,
-    supervisor: &SweepSupervisor,
-    run_point: F,
-) -> Vec<PointOutcome<R>>
-where
-    P: Sync + std::fmt::Debug,
-    R: Send,
     F: Fn(&SweepCtx, &P) -> Result<PointRun<R>, ScriptFaultInfo> + Sync,
 {
     run(experiment, base_seed, points, pool.resolve(), |ctx, p| {
-        supervised_point_fallible(ctx, supervisor, p, &run_point)
+        supervised_point(ctx, supervisor, p, &run_point)
     })
 }
 
@@ -487,37 +449,18 @@ pub struct ProfileRollup {
     pub rows: Vec<RollupRow>,
     /// Number of grid points rolled up.
     pub points: usize,
-    /// Points excluded because they produced no profile (poisoned, or
-    /// truncated before [`finish_profile`](malsim_kernel::sched::Sim::finish_profile)).
-    /// They are *counted*, never folded in as zeros, so min/median/max reflect
-    /// only real measurements.
-    pub omitted_points: usize,
 }
 
 /// Builds the [`ProfileRollup`] for a sweep's per-point profiling summaries
 /// (as returned by the `_profiled_t` experiment variants).
 pub fn profile_rollup(summaries: &[ProfileSummary]) -> ProfileRollup {
-    rollup_inner(summaries.iter().collect(), 0)
-}
-
-/// [`profile_rollup`] over a supervised grid where some points may have no
-/// summary: `None` entries (failed, poisoned, or truncated points) are
-/// skipped and tallied in [`ProfileRollup::omitted_points`] rather than
-/// skewing every category's min toward zero.
-pub fn profile_rollup_partial(summaries: &[Option<ProfileSummary>]) -> ProfileRollup {
-    let present: Vec<&ProfileSummary> = summaries.iter().flatten().collect();
-    let omitted = summaries.len() - present.len();
-    rollup_inner(present, omitted)
-}
-
-fn rollup_inner(summaries: Vec<&ProfileSummary>, omitted_points: usize) -> ProfileRollup {
     let mut per_cat: BTreeMap<&str, (Vec<u64>, Vec<f64>)> = BTreeMap::new();
-    for summary in &summaries {
+    for summary in summaries {
         for row in &summary.rows {
             per_cat.entry(&row.category).or_default();
         }
     }
-    for summary in &summaries {
+    for summary in summaries {
         for (cat, (events, host_ms)) in per_cat.iter_mut() {
             let row = summary.rows.iter().find(|r| r.category == *cat);
             events.push(row.map_or(0, |r| r.events));
@@ -536,7 +479,7 @@ fn rollup_inner(summaries: Vec<&ProfileSummary>, omitted_points: usize) -> Profi
             }
         })
         .collect();
-    ProfileRollup { rows, points: summaries.len(), omitted_points }
+    ProfileRollup { rows, points: summaries.len() }
 }
 
 /// Nearest-rank median of a sorted non-empty slice (same convention as
@@ -551,10 +494,6 @@ impl ProfileRollup {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "scheduler profile across {} sweep points (min / median / max):", self.points);
-        if self.omitted_points > 0 {
-            let _ =
-                writeln!(out, "({} point(s) without a profile omitted from the stats)", self.omitted_points);
-        }
         let width = self.rows.iter().map(|r| r.category.len()).max().unwrap_or(8).max(8);
         let _ = writeln!(out, "{:width$}  {:>27}  {:>30}", "category", "events", "host ms");
         for row in &self.rows {
@@ -660,24 +599,11 @@ mod tests {
     }
 
     #[test]
-    fn rollup_partial_counts_omissions_instead_of_zero_filling() {
-        let grid = [Some(summary(&[("net", 10, 1.0)])), None, Some(summary(&[("net", 30, 3.0)])), None];
-        let rollup = profile_rollup_partial(&grid);
-        assert_eq!(rollup.points, 2);
-        assert_eq!(rollup.omitted_points, 2);
-        // The min is a real measurement, not a zero injected by a dead point
-        // (the median of an even count takes the upper of the two middles).
-        assert_eq!(rollup.rows[0].events, (10, 30, 30));
-        let table = rollup.render();
-        assert!(table.contains("2 point(s) without a profile"), "{table}");
-    }
-
-    #[test]
     fn rollup_of_nothing_is_empty_not_a_panic() {
-        let rollup = profile_rollup_partial(&[None, None]);
+        let rollup = profile_rollup(&[]);
         assert!(rollup.rows.is_empty());
         assert_eq!(rollup.points, 0);
-        assert_eq!(rollup.omitted_points, 2);
+        assert!(rollup.render().contains("0 sweep points"));
     }
 
     #[test]
@@ -695,7 +621,7 @@ mod tests {
                     if p == 5 {
                         panic!("injected failure at point {p}");
                     }
-                    PointRun::complete((ctx.point, p * 10))
+                    Ok(PointRun::complete((ctx.point, p * 10)))
                 },
             );
             assert_eq!(outcomes.len(), 8);
@@ -729,7 +655,7 @@ mod tests {
             if p == 2 && attempt < 3 {
                 panic!("flaky");
             }
-            PointRun::complete(p)
+            Ok(PointRun::complete(p))
         });
         match &outcomes[2] {
             PointOutcome::Completed { run, attempts } => {
@@ -750,7 +676,7 @@ mod tests {
             if p == 2 && attempt < 3 {
                 panic!("flaky");
             }
-            PointRun::complete(p)
+            Ok(PointRun::complete(p))
         });
         match &outcomes[2] {
             PointOutcome::Poisoned { attempts, panic_msg, .. } => {
@@ -773,7 +699,7 @@ mod tests {
             for t in &tries {
                 t.store(0, Ordering::SeqCst);
             }
-            let outcomes = run_supervised_fallible(
+            let outcomes = run_supervised(
                 "scriptfault",
                 7,
                 &points,
@@ -828,6 +754,6 @@ mod tests {
         assert_eq!("3".trim().parse::<usize>().unwrap_or(1).max(1), 3);
         assert_eq!("bogus".trim().parse::<usize>().unwrap_or(1).max(1), 1);
         assert_eq!("0".trim().parse::<usize>().unwrap_or(1).max(1), 1);
-        assert!(threads_from_env() >= 1);
+        assert!(PoolConfig::default().resolve() >= 1);
     }
 }

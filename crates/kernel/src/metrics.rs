@@ -140,6 +140,8 @@ impl fmt::Display for Metrics {
             writeln!(f, "gauge   {k} = {v:.3}")?;
         }
         for (k, h) in &self.histograms {
+            // Rank on a sorted copy; the registry itself stays untouched.
+            let mut ranked = h.clone();
             writeln!(
                 f,
                 "hist    {k}: n={} mean={:.3} min={:.3} max={:.3} p50={:.3} p99={:.3}",
@@ -147,8 +149,8 @@ impl fmt::Display for Metrics {
                 h.mean(),
                 h.min(),
                 h.max(),
-                h.percentile(50.0),
-                h.percentile(99.0)
+                ranked.quantile(0.5),
+                ranked.quantile(0.99)
             )?;
         }
         for (k, s) in &self.series {
@@ -203,24 +205,6 @@ impl Histogram {
             0.0
         } else {
             self.max
-        }
-    }
-
-    /// Nearest-rank percentile, `p` in `[0, 100]` (0.0 when empty).
-    ///
-    /// Sorts a fresh copy on every call; prefer [`Histogram::quantile`] when
-    /// the histogram is mutable and queried repeatedly.
-    pub fn percentile(&self, p: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        match &self.sorted_cache {
-            Some(sorted) => Self::rank_of(sorted, p / 100.0),
-            None => {
-                let mut sorted = self.values.clone();
-                sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-                Self::rank_of(&sorted, p / 100.0)
-            }
         }
     }
 
@@ -318,28 +302,32 @@ mod tests {
         assert!((h.mean() - 3.0).abs() < 1e-12);
         assert_eq!(h.min(), 1.0);
         assert_eq!(h.max(), 5.0);
-        assert_eq!(h.percentile(0.0), 1.0);
-        assert_eq!(h.percentile(50.0), 3.0);
-        assert_eq!(h.percentile(100.0), 5.0);
+        assert_eq!(h.quantile(0.0), 1.0);
+        assert_eq!(h.quantile(0.5), 3.0);
+        assert_eq!(h.quantile(1.0), 5.0);
     }
 
     #[test]
     fn empty_histogram_is_zeroed() {
-        let h = Histogram::default();
+        let mut h = Histogram::default();
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.percentile(99.0), 0.0);
+        assert_eq!(h.quantile(0.99), 0.0);
         assert_eq!(Histogram::default().quantile(0.5), 0.0);
     }
 
     #[test]
     fn quantile_agrees_with_percentile() {
+        let values = [9.0, 7.0, 5.0, 3.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0];
         let mut h = Histogram::default();
-        for v in [9.0, 7.0, 5.0, 3.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0] {
+        for v in values {
             h.observe(v);
         }
+        // The nearest-rank percentile, computed naively on a sorted copy.
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let percentile = |p: f64| sorted[(p / 100.0 * (sorted.len() - 1) as f64).round() as usize];
         for p in [0.0, 25.0, 50.0, 95.0, 99.0, 100.0] {
-            let via_percentile = h.percentile(p);
-            assert_eq!(h.quantile(p / 100.0), via_percentile, "p={p}");
+            assert_eq!(h.quantile(p / 100.0), percentile(p), "p={p}");
         }
         assert_eq!(h.quantile(0.5), 6.0, "nearest rank rounds 4.5 up");
         assert_eq!(h.quantile(1.0), 10.0);

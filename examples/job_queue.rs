@@ -87,7 +87,7 @@ fn main() {
     let seed: u64 = positional.next().and_then(|a| a.parse().ok()).unwrap_or(7);
     let pool = match positional.next().and_then(|a| a.parse().ok()) {
         Some(n) => PoolConfig::explicit(n),
-        None => PoolConfig::from_env(),
+        None => PoolConfig::default(),
     };
 
     // Arm the telemetry plane before any simulation exists so every kernel

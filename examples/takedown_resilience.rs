@@ -111,8 +111,10 @@ fn main() {
     let seed: u64 = positional.next().and_then(|a| a.parse().ok()).unwrap_or(11);
     let clients: usize = positional.next().and_then(|a| a.parse().ok()).unwrap_or(10);
     let days: u64 = positional.next().and_then(|a| a.parse().ok()).unwrap_or(7);
-    let threads: usize =
-        positional.next().and_then(|a| a.parse().ok()).unwrap_or_else(sweep::threads_from_env);
+    let threads: usize = positional
+        .next()
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| sweep::PoolConfig::default().resolve());
 
     if supervised {
         let ckpt_path = PathBuf::from(ckpt.unwrap_or_else(|| "sweep.ckpt".to_owned()));

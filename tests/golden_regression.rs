@@ -24,7 +24,7 @@ fn experiments_match_golden_snapshots() {
     // armed, proving the goldens stay byte-identical while every kernel
     // dispatch and job counter is being recorded (CI's `telemetry` job).
     telemetry::arm_if_env();
-    let threads = sweep::threads_from_env();
+    let threads = sweep::PoolConfig::default().resolve();
     let mut failures = Vec::new();
     for spec in experiments::golden_specs() {
         let live = spec.run(threads);

@@ -476,7 +476,7 @@ fn fsync_failure_mid_journal_quarantines_then_repair_salvages_the_durable_prefix
 
     // The on-disk journal holds whatever prefix survived; repair compacts it
     // to self-hash-valid lines and the resume re-runs only what was lost.
-    let summary = malsim::checkpoint::repair_journal(&journal).unwrap();
+    let summary = malsim::checkpoint::repair_journal(&journal, &malsim::chaosfs::REAL_FS).unwrap();
     assert_eq!(summary.dropped, summary.lines_seen - summary.kept);
     let mut queue = JobQueue::new(QueueConfig {
         pool: PoolConfig::explicit(1),
