@@ -7,6 +7,7 @@
 //! SNACK module used for its man-in-the-middle spread.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use malsim_kernel::define_id;
 use malsim_kernel::ids::Arena;
@@ -75,6 +76,7 @@ impl Zone {
 pub struct Topology {
     zones: Arena<ZoneId, Zone>,
     placement: BTreeMap<HostId, ZoneId>,
+    generation: u64,
 }
 
 impl Topology {
@@ -100,6 +102,17 @@ impl Topology {
             self.zones[old].hosts.retain(|h| *h != host);
         }
         self.zones[zone].hosts.push(host);
+        // Drawn from one process-wide counter, so no two membership states
+        // share a generation, even across topologies that replace each other.
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        self.generation = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The membership generation: changed by every [`Topology::place`], so a
+    /// cache derived from [`Zone::hosts`] can tell it has gone stale. Values
+    /// are only meaningful compared for equality.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The zone a host is in.
@@ -232,6 +245,30 @@ mod tests {
         assert!(t.zone(a).hosts().is_empty());
         assert_eq!(t.zone(b).hosts(), &[h(0)]);
         assert_eq!(t.zone_of(h(0)), Some(b));
+    }
+
+    #[test]
+    fn placement_changes_the_generation() {
+        let mut t = Topology::new();
+        let a = t.add_zone("a", true);
+        let b = t.add_zone("b", true);
+        let g0 = t.generation();
+        t.place(h(0), a);
+        let g1 = t.generation();
+        assert_ne!(g1, g0, "a new host changes membership");
+        t.set_link(a, false);
+        t.claim_wpad(h(0));
+        assert_eq!(t.generation(), g1, "only placement counts");
+        t.place(h(0), b);
+        assert_ne!(t.generation(), g1, "a move changes membership");
+
+        // A second topology with the same placement history never reuses a
+        // generation of the first.
+        let mut u = Topology::new();
+        let ua = u.add_zone("a", true);
+        u.place(h(0), ua);
+        assert_ne!(u.generation(), g1);
+        assert_ne!(u.generation(), t.generation());
     }
 
     #[test]

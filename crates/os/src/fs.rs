@@ -4,7 +4,9 @@
 //! an implicit directory tree. File contents are typed ([`FileData`]) so the
 //! campaign mechanics are first-class: executables carry parsed MZSM images,
 //! shortcuts carry targets (the LNK vector), autorun manifests carry command
-//! lines, and plain bytes cover everything else.
+//! lines, and plain bytes cover everything else. A file filled with one
+//! repeated byte (a wiper's overwrite) is stored as that byte and a length,
+//! so wiping a fleet costs no memory per file.
 
 use std::collections::BTreeMap;
 
@@ -19,6 +21,14 @@ use crate::path::WinPath;
 pub enum FileData {
     /// Opaque bytes (documents, logs, payload fragments).
     Bytes(Vec<u8>),
+    /// `len` copies of `byte`, held without materialising them. Equality is
+    /// by representation: a `Fill` never equals the `Bytes` it stands for.
+    Fill {
+        /// The repeated byte.
+        byte: u8,
+        /// Number of bytes.
+        len: usize,
+    },
     /// An executable image in the workspace's toy PE format.
     Executable(Image),
     /// A Windows shortcut. `exploit_payload` models a malformed LNK that
@@ -43,6 +53,7 @@ impl FileData {
     pub fn len(&self) -> usize {
         match self {
             FileData::Bytes(b) => b.len(),
+            FileData::Fill { len, .. } => *len,
             FileData::Executable(img) => img.payload_len() + 64,
             FileData::Shortcut { .. } => 1_024,
             FileData::Autorun { .. } => 128,
@@ -51,7 +62,7 @@ impl FileData {
 
     /// Whether the content is empty.
     pub fn is_empty(&self) -> bool {
-        matches!(self, FileData::Bytes(b) if b.is_empty())
+        self.len() == 0
     }
 }
 
@@ -227,16 +238,16 @@ impl Vfs {
             .collect()
     }
 
-    /// Overwrites a file's contents in place (same node, new bytes) —
-    /// distinct from `write` because it preserves creation time, matching
-    /// what a wiper does.
+    /// Overwrites a file's contents in place (same node, new contents) —
+    /// distinct from `write` because it preserves creation time and never
+    /// creates a file, matching what a wiper does.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::NotFound`] if absent.
-    pub fn overwrite(&mut self, path: &WinPath, bytes: Vec<u8>, now: SimTime) -> Result<(), FsError> {
+    pub fn overwrite(&mut self, path: &WinPath, data: FileData, now: SimTime) -> Result<(), FsError> {
         let node = self.read_mut(path)?;
-        node.data = FileData::Bytes(bytes);
+        node.data = data;
         node.modified = now;
         Ok(())
     }
@@ -334,15 +345,49 @@ mod tests {
         let mut fs = Vfs::new();
         let p = WinPath::new(r"C:\f");
         fs.write(&p, bytes(100), t(1)).unwrap();
-        fs.overwrite(&p, vec![0xFF; 4], t(50)).unwrap();
+        fs.overwrite(&p, FileData::Bytes(vec![0xFF; 4]), t(50)).unwrap();
         let node = fs.read(&p).unwrap();
         assert_eq!(node.created, t(1));
         assert_eq!(node.modified, t(50));
         assert_eq!(node.data, FileData::Bytes(vec![0xFF; 4]));
         assert!(matches!(
-            fs.overwrite(&WinPath::new(r"C:\none"), vec![], t(51)),
+            fs.overwrite(&WinPath::new(r"C:\none"), bytes(0), t(51)),
             Err(FsError::NotFound { .. })
         ));
+        assert!(!fs.exists(&WinPath::new(r"C:\none")), "overwrite never creates");
+    }
+
+    #[test]
+    fn fill_reports_its_length_without_bytes() {
+        let big = FileData::Fill { byte: 0xB5, len: 192 * 1024 };
+        assert_eq!(big.len(), 192 * 1024);
+        assert!(!big.is_empty());
+        let none = FileData::Fill { byte: 0xB5, len: 0 };
+        assert_eq!(none.len(), 0);
+        assert!(none.is_empty());
+        assert!(!FileData::Autorun { run: WinPath::new(r"E:\x.exe") }.is_empty());
+    }
+
+    #[test]
+    fn fill_equality_is_by_representation() {
+        let fill = FileData::Fill { byte: 0xB5, len: 4 };
+        assert_eq!(fill, FileData::Fill { byte: 0xB5, len: 4 });
+        assert_ne!(fill, FileData::Fill { byte: 0xB6, len: 4 }, "different byte");
+        assert_ne!(fill, FileData::Fill { byte: 0xB5, len: 5 }, "different length");
+        assert_ne!(fill, FileData::Bytes(vec![0xB5; 4]), "same content, other representation");
+    }
+
+    #[test]
+    fn overwrite_with_a_fill_replaces_bytes() {
+        let mut fs = Vfs::new();
+        let p = WinPath::new(r"C:\Users\u\Documents\plan.doc");
+        fs.write(&p, bytes(800_000), t(1)).unwrap();
+        fs.overwrite(&p, FileData::Fill { byte: 0xB5, len: 1_000 }, t(2)).unwrap();
+        let node = fs.read(&p).unwrap();
+        assert_eq!(node.data, FileData::Fill { byte: 0xB5, len: 1_000 });
+        assert_eq!(node.created, t(1));
+        assert_eq!(node.modified, t(2));
+        assert_eq!(fs.total_size(), 1_000, "the fill's length is what the file now holds");
     }
 
     #[test]

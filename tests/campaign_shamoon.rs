@@ -39,9 +39,10 @@ fn wiped_files_show_the_truncated_fragment_bug() {
     shamoon::dropper::infect_host(&mut world, &mut sim, victim, "phish");
     sim.run_until(&mut world, shamoon::aramco_trigger() + SimDuration::from_mins(5));
     let node = world.hosts[victim].fs.read(&doc).unwrap();
-    let FileData::Bytes(bytes) = &node.data else { panic!("overwritten file is bytes") };
-    assert_eq!(bytes.len(), shamoon::wiper::BUGGY_FRAGMENT_LEN);
-    assert!(bytes.len() < shamoon::wiper::FULL_PATTERN_LEN, "the coding-mistake model");
+    let FileData::Fill { byte, len } = node.data else { panic!("overwritten file is a fill") };
+    assert_eq!(len, shamoon::wiper::BUGGY_FRAGMENT_LEN);
+    assert_eq!(byte, 0xB5);
+    assert!(len < shamoon::wiper::FULL_PATTERN_LEN, "the coding-mistake model");
     // Target lists written.
     assert!(world.hosts[victim].fs.exists(&WinPath::expand(r"%system%\f1.inf")));
     assert!(world.hosts[victim].fs.exists(&WinPath::expand(r"%system%\f2.inf")));
