@@ -4,15 +4,17 @@
 //! emitted as one canonical-JSON document. The repo commits the result as
 //! `BENCH_sweep.json` at the root so speedups and regressions form a
 //! PR-over-PR trajectory rather than an anecdote; CI re-measures every push
-//! and `--compare`s against the committed file (warn-only — wall-clock
-//! figures are machine-dependent, so a regression prints a warning instead of
-//! failing the build).
+//! and `--compare`s against the committed file.
 //!
 //! Usage: `cargo run --release -p malsim-bench --bin bench_sweep --
 //!   [--iters <n>] [--out <path>] [--compare <path>] [--threshold <ratio>]`
 //!
-//! Event counts are deterministic per seed; only the wall-clock figures
-//! vary between machines and runs.
+//! Event counts and telemetry counters are deterministic per seed, so
+//! `--compare` gates on them: the process exits 1 when a row's `events` or
+//! `telemetry` differs from the baseline, or a row is missing from either
+//! side. A change that moves a count re-blesses the file on purpose. Only
+//! the wall-clock figures vary between machines and runs; a throughput drop
+//! prints a warning instead of failing the build.
 
 use std::time::Instant;
 
@@ -33,46 +35,51 @@ fn sample(iters: u64, run: impl Fn() -> u64) -> (u64, f64) {
     (events / iters, start.elapsed().as_secs_f64() * 1e3 / iters as f64)
 }
 
-/// Pulls `experiment -> events_per_sec` rows out of a bench document.
-fn throughput_rows(doc: &Json) -> Vec<(String, f64)> {
+/// The `experiment -> row` pairs of a bench document.
+fn rows(doc: &Json) -> Vec<(&str, &Json)> {
     let Some(Json::Arr(rows)) = doc.get("rows") else { return Vec::new() };
-    rows.iter()
-        .filter_map(|row| {
-            let name = row.get("experiment")?.as_str()?.to_owned();
-            let eps = row.get("events_per_sec")?.as_f64()?;
-            Some((name, eps))
-        })
-        .collect()
+    rows.iter().filter_map(|row| Some((row.get("experiment")?.as_str()?, row))).collect()
 }
 
-/// Warn-only diff of the fresh measurement against a committed baseline:
-/// prints one line per experiment and a GitHub-annotation-style `::warning::`
-/// when throughput dropped below `threshold` of the baseline. Never fails the
-/// run — the committed file was measured on different hardware.
-fn compare(current: &Json, baseline_text: &str, threshold: f64) {
-    let baseline = match report::parse(baseline_text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("::warning::baseline unreadable, skipping comparison: {e}");
-            return;
-        }
-    };
-    let base_rows = throughput_rows(&baseline);
-    for (experiment, now_eps) in throughput_rows(current) {
-        match base_rows.iter().find(|(name, _)| *name == experiment) {
-            Some((_, base_eps)) if *base_eps > 0.0 => {
-                let ratio = now_eps / base_eps;
-                eprintln!("{experiment}: {now_eps:.0} ev/s vs baseline {base_eps:.0} ({ratio:.2}x)");
-                if ratio < threshold {
-                    eprintln!(
-                        "::warning::{experiment} throughput {now_eps:.0} ev/s is below \
-                         {threshold:.2}x of the committed baseline {base_eps:.0} ev/s"
-                    );
-                }
+/// Diffs the fresh measurement against a committed baseline and returns
+/// whether the deterministic gate held. A row whose `events` or `telemetry`
+/// differs, or that exists on one side only, prints a GitHub-annotation-style
+/// `::error::` and fails the gate. Throughput only warns (`::warning::` below
+/// `threshold` of the baseline): the committed file was measured on
+/// different hardware.
+fn compare(current: &Json, baseline: &Json, threshold: f64) -> bool {
+    let (now_rows, base_rows) = (rows(current), rows(baseline));
+    let mut held = true;
+    for (experiment, _) in base_rows.iter().filter(|(name, _)| !now_rows.iter().any(|(n, _)| n == name)) {
+        eprintln!("::error::{experiment}: baseline row missing from this run");
+        held = false;
+    }
+    for (experiment, row) in &now_rows {
+        let Some((_, base)) = base_rows.iter().find(|(name, _)| name == experiment) else {
+            eprintln!("::error::{experiment}: no baseline row");
+            held = false;
+            continue;
+        };
+        for key in ["events", "telemetry"] {
+            let render = |row: &Json| row.get(key).map_or("missing".to_owned(), Json::to_compact_string);
+            let (now, was) = (render(row), render(base));
+            if now != was {
+                eprintln!("::error::{experiment}: {key} {now} differs from the baseline {was}");
+                held = false;
             }
-            _ => eprintln!("{experiment}: {now_eps:.0} ev/s (no baseline row)"),
+        }
+        let eps = |row: &Json| row.get("events_per_sec").and_then(Json::as_f64).unwrap_or(0.0);
+        let (now_eps, base_eps) = (eps(row), eps(base));
+        let ratio = if base_eps > 0.0 { now_eps / base_eps } else { f64::INFINITY };
+        eprintln!("{experiment}: {now_eps:.0} ev/s vs baseline {base_eps:.0} ({ratio:.2}x)");
+        if ratio < threshold {
+            eprintln!(
+                "::warning::{experiment} throughput {now_eps:.0} ev/s is below \
+                 {threshold:.2}x of the committed baseline {base_eps:.0} ev/s"
+            );
         }
     }
+    held
 }
 
 fn main() {
@@ -165,12 +172,15 @@ fn main() {
         .collect();
     let doc = Json::obj([("bench", "sweep".into()), ("iters", Json::U64(iters)), ("rows", Json::Arr(rows))]);
     let text = doc.to_canonical_string();
-    if let Some(path) = compare_path {
-        match std::fs::read_to_string(&path) {
-            Ok(baseline_text) => compare(&doc, &baseline_text, threshold),
-            Err(e) => eprintln!("::warning::cannot read baseline {path}: {e}"),
+    let held = compare_path.is_none_or(|path| {
+        match std::fs::read_to_string(&path).map_err(|e| e.to_string()).and_then(|t| report::parse(&t)) {
+            Ok(baseline) => compare(&doc, &baseline, threshold),
+            Err(e) => {
+                eprintln!("::error::cannot read baseline {path}: {e}");
+                false
+            }
         }
-    }
+    });
     match out {
         Some(path) => {
             std::fs::write(&path, &text).unwrap_or_else(|e| {
@@ -180,5 +190,11 @@ fn main() {
             eprintln!("wrote {path}");
         }
         None => print!("{text}"),
+    }
+    if !held {
+        eprintln!(
+            "the deterministic bench gate failed; re-bless the baseline on purpose if a count moved by design"
+        );
+        std::process::exit(1);
     }
 }

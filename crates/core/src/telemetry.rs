@@ -5,19 +5,19 @@
 //! histograms held in static atomic cells — metric handles are `static`s, so
 //! recording never allocates and never takes a lock on the hot path (the two
 //! label-keyed maps, WFQ lag and the profile rollup, are written only at run
-//! boundaries). Like the profiler and the invariant checker, the whole plane
-//! is opt-in: until [`arm`] is called every record function returns after a
-//! single branch, and the kernel-side dispatch hook is never installed, so
-//! un-instrumented processes pay one `Option` check per dispatched event and
-//! nothing else.
+//! boundaries). The whole plane is opt-in: until [`arm`] is called every
+//! record function returns after a single branch, and the kernel-side hook
+//! is never installed, so un-instrumented sims carry no dispatch probe and
+//! pay one `Option` check per dispatched event and nothing else.
 //!
 //! ## What is instrumented
 //!
 //! - **`kernel::sched` / `kernel::calq`** — dispatches by trace-category
-//!   attribution and pre-dispatch queue depth (via the
-//!   [`TelemetryHook`] installed by [`arm`]), plus the calendar queue's
-//!   structural counters (ring resizes, tombstone reaps, cursor pull-backs)
-//!   flushed at the end of every `run*` call.
+//!   attribution, the pre-dispatch queue-depth high-water, and the calendar
+//!   queue's structural counters (ring resizes, tombstone reaps, cursor
+//!   pull-backs). Each sim's dispatch probe tallies them and flushes one
+//!   delta into the [`TelemetryHook`] installed by [`arm`] at the end of
+//!   every `run*` call and when the sim is dropped.
 //! - **`core::jobs`** — admissions, rejections by reason, queue high-water,
 //!   per-tenant WFQ lag, point cancellations, and the result cache's
 //!   hit/park/promotion traffic.
@@ -57,9 +57,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use malsim_kernel::calq::QueueStats;
 use malsim_kernel::sched::ProfileSummary;
-use malsim_kernel::telemetry::TelemetryHook;
+use malsim_kernel::telemetry::{TelemetryDelta, TelemetryHook, DISPATCH_SLOTS};
 use malsim_kernel::trace::TraceCategory;
 
 use crate::chaosfs::IoFaultKind;
@@ -149,9 +148,6 @@ impl<const N: usize> Hist<N> {
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-/// Index of the "untraced" slot in [`SCHED_DISPATCHES`].
-const UNTRACED: usize = TraceCategory::ALL.len();
-
 /// Fsync latency bucket bounds, in microseconds.
 const FSYNC_BOUNDS_US: [u64; 10] = [50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000];
 
@@ -168,8 +164,7 @@ const TRUNCATION_KINDS: [&str; 2] = ["event_budget", "host_deadline"];
 const CHAOS_KINDS: [&str; 7] =
     ["fsync_fail", "short_write", "torn_write", "disk_full", "eintr", "open_fail", "read_fail"];
 
-static SCHED_DISPATCHES: [Cell; TraceCategory::ALL.len() + 1] =
-    [const { Cell::new() }; TraceCategory::ALL.len() + 1];
+static SCHED_DISPATCHES: [Cell; DISPATCH_SLOTS] = [const { Cell::new() }; DISPATCH_SLOTS];
 static SCHED_QUEUE_DEPTH_MAX: Cell = Cell::new();
 static CALQ_RESIZES: Cell = Cell::new();
 static CALQ_TOMBSTONE_REAPS: Cell = Cell::new();
@@ -229,26 +224,22 @@ struct JsonlSink {
 // Arming
 // ---------------------------------------------------------------------------
 
-/// The kernel-facing half of the registry: fed one callback per dispatched
-/// event plus the queue's structural counter deltas at the end of each run.
+/// The kernel-facing half of the registry: fed one delta per sim at the end
+/// of each run and when the sim is dropped.
 struct KernelHook;
 
 impl TelemetryHook for KernelHook {
-    fn dispatch(&self, category: Option<TraceCategory>, queue_depth: usize) {
+    fn flush(&self, delta: TelemetryDelta) {
         if !armed() {
             return;
         }
-        SCHED_DISPATCHES[category.map_or(UNTRACED, |c| c as usize)].add(1);
-        SCHED_QUEUE_DEPTH_MAX.high_water(queue_depth as u64);
-    }
-
-    fn queue_stats(&self, delta: QueueStats) {
-        if !armed() {
-            return;
+        for (cell, n) in SCHED_DISPATCHES.iter().zip(delta.dispatches) {
+            cell.add(n);
         }
-        CALQ_RESIZES.add(delta.resizes);
-        CALQ_TOMBSTONE_REAPS.add(delta.tombstone_reaps);
-        CALQ_CURSOR_PULLBACKS.add(delta.cursor_pullbacks);
+        SCHED_QUEUE_DEPTH_MAX.high_water(delta.queue_depth_max as u64);
+        CALQ_RESIZES.add(delta.queue.resizes);
+        CALQ_TOMBSTONE_REAPS.add(delta.queue.tombstone_reaps);
+        CALQ_CURSOR_PULLBACKS.add(delta.queue.cursor_pullbacks);
     }
 }
 
@@ -258,9 +249,10 @@ static HOOK: KernelHook = KernelHook;
 ///
 /// Call once at process start, **before any simulation is created**: a `Sim`
 /// captures the hook at construction, so sims built earlier never report
-/// dispatches. Kernel installation is one-way; [`disarm`] stops recording
-/// but armed-then-disarmed processes keep paying the (tiny) hook dispatch
-/// cost, so arming is meant for whole-process observation, not toggling.
+/// dispatches. Kernel installation is one-way; [`disarm`] stops recording,
+/// but sims built afterwards still carry a dispatch probe (one clock read
+/// and one tally per event), so arming is meant for whole-process
+/// observation, not toggling.
 pub fn arm() {
     malsim_kernel::telemetry::install(&HOOK);
     ARMED.store(true, Ordering::SeqCst);
@@ -505,33 +497,8 @@ pub(crate) fn jobs_degraded_storage(n: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler bridge (satellite: one export path for profiler and metrics)
+// Profiler rollup
 // ---------------------------------------------------------------------------
-
-/// Canonical-JSON rendering of one [`ProfileSummary`] — the machine-readable
-/// twin of [`ProfileSummary::render`]'s aligned text table.
-pub fn profile_json(summary: &ProfileSummary) -> Json {
-    let rows = summary
-        .rows
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("category", r.category.as_str().into()),
-                ("events", Json::U64(r.events)),
-                ("host_ms", Json::F64(r.host_ms)),
-            ])
-        })
-        .collect();
-    Json::obj([
-        ("total_events", Json::U64(summary.total_events)),
-        ("total_host_ms", Json::F64(summary.total_host_ms)),
-        ("queue_p50", Json::F64(summary.queue_p50)),
-        ("queue_p95", Json::F64(summary.queue_p95)),
-        ("queue_p99", Json::F64(summary.queue_p99)),
-        ("queue_max", Json::F64(summary.queue_max)),
-        ("rows", Json::Arr(rows)),
-    ])
-}
 
 /// Folds one profiling summary's per-category rollup into the registry's
 /// wall-clock section, so a profiled sweep's dispatch costs surface in the
@@ -572,13 +539,11 @@ struct Metric {
     value: Value,
 }
 
+/// One item per [`SCHED_DISPATCHES`] slot: the trace categories in
+/// declaration order, then `untraced`.
 fn dispatch_items() -> Vec<(String, u64)> {
-    let mut items: Vec<(String, u64)> = TraceCategory::ALL
-        .iter()
-        .map(|c| (c.name().to_owned(), SCHED_DISPATCHES[*c as usize].get()))
-        .collect();
-    items.push(("untraced".to_owned(), SCHED_DISPATCHES[UNTRACED].get()));
-    items
+    let names = TraceCategory::ALL.iter().map(|c| c.name()).chain(["untraced"]);
+    names.zip(&SCHED_DISPATCHES).map(|(name, cell)| (name.to_owned(), cell.get())).collect()
 }
 
 fn labeled_from<const N: usize>(labels: [&str; N], cells: &[Cell; N]) -> Vec<(String, u64)> {
@@ -952,26 +917,6 @@ mod tests {
         );
         assert_eq!(TRUNCATION_KINDS[truncation_index(Truncation::EventBudget)], "event_budget");
         assert_eq!(TRUNCATION_KINDS[truncation_index(Truncation::HostDeadline)], "host_deadline");
-    }
-
-    #[test]
-    fn profile_json_mirrors_the_summary() {
-        use malsim_kernel::sched::ProfileRow;
-        let summary = ProfileSummary {
-            rows: vec![ProfileRow { category: "net".to_owned(), events: 3, host_ms: 1.5 }],
-            total_events: 3,
-            total_host_ms: 1.5,
-            queue_p50: 1.0,
-            queue_p95: 2.0,
-            queue_p99: 2.0,
-            queue_max: 2.0,
-        };
-        let json = profile_json(&summary);
-        assert_eq!(json.get("total_events"), Some(&Json::U64(3)));
-        let rows = json.get("rows").expect("rows present");
-        let Json::Arr(rows) = rows else { panic!("rows is an array") };
-        assert_eq!(rows[0].get("category"), Some(&Json::Str("net".to_owned())));
-        assert_eq!(rows[0].get("host_ms"), Some(&Json::F64(1.5)));
     }
 
     #[test]

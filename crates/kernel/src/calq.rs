@@ -137,6 +137,19 @@ pub struct QueueStats {
     pub cursor_pullbacks: u64,
 }
 
+impl std::ops::Sub for QueueStats {
+    type Output = QueueStats;
+
+    /// The counters accumulated between snapshot `earlier` and `self`.
+    fn sub(self, earlier: QueueStats) -> QueueStats {
+        QueueStats {
+            resizes: self.resizes - earlier.resizes,
+            tombstone_reaps: self.tombstone_reaps - earlier.tombstone_reaps,
+            cursor_pullbacks: self.cursor_pullbacks - earlier.cursor_pullbacks,
+        }
+    }
+}
+
 impl<T> Default for CalQueue<T> {
     fn default() -> Self {
         CalQueue::new()

@@ -4,15 +4,18 @@
 //! Long sweeps amplify small model bugs: a stale host id in an infection
 //! registry or an exfiltration span with no infection root silently corrupts
 //! thousands of downstream grid points before any headline number looks
-//! wrong. The checker makes those laws *executable*. It is opt-in exactly
-//! like the scheduler profiler —
-//! [`Sim::enable_invariants`](crate::sched::Sim::enable_invariants) arms it,
-//! and the unarmed dispatch path pays a single `Option` branch.
+//! wrong. The checker makes those laws *executable*. It is opt-in:
+//! [`Sim::enable_invariants`](crate::sched::Sim::enable_invariants) arms it
+//! in the sim's dispatch probe (see [`crate::sched`]), which runs it after
+//! each dispatch has been tallied; a sim with no probe pays a single
+//! `Option` branch per dispatch.
 //!
 //! Violations are collected as structured [`InvariantViolation`] values (or,
 //! in strict mode, raised as panics the supervised sweep runner quarantines),
 //! never as `debug_assert!`s: a release-mode soak run reports the same
-//! breaches a debug run would.
+//! breaches a debug run would. Past a retention cap the checker only counts
+//! breaches; draining reports that count as one trailing
+//! `violations-dropped` violation.
 //!
 //! Kernel-level laws come built in and run incrementally (each span and
 //! fault window is examined exactly once, at the first dispatch after its
@@ -135,11 +138,6 @@ impl<W> InvariantChecker<W> {
         }
     }
 
-    /// Whether the checker panics on the first violation.
-    pub fn is_strict(&self) -> bool {
-        self.strict
-    }
-
     /// Registers a world-level law, run after every dispatch.
     pub fn add_law(
         &mut self,
@@ -211,14 +209,21 @@ impl<W> InvariantChecker<W> {
         &self.violations
     }
 
-    /// Number of violations dropped past the retention cap.
-    pub fn dropped(&self) -> usize {
-        self.dropped
-    }
-
-    /// Drains the collected violations, leaving the checker armed.
+    /// Drains the collected violations, leaving the checker armed. When
+    /// breaches were dropped past the retention cap since the last drain,
+    /// one trailing `violations-dropped` violation carries their count,
+    /// stamped with the time of the last checked dispatch.
     pub fn take_violations(&mut self) -> Vec<InvariantViolation> {
-        std::mem::take(&mut self.violations)
+        let mut violations = std::mem::take(&mut self.violations);
+        if self.dropped > 0 {
+            violations.push(InvariantViolation {
+                law: "violations-dropped",
+                at: self.last_now.unwrap_or(SimTime::EPOCH),
+                detail: format!("{} more violations past the cap of {MAX_VIOLATIONS}", self.dropped),
+            });
+            self.dropped = 0;
+        }
+        violations
     }
 }
 
@@ -323,7 +328,32 @@ mod tests {
             checker.check(&0, &cx(t(i), &spans, &faults));
         }
         assert_eq!(checker.violations().len(), MAX_VIOLATIONS);
-        assert_eq!(checker.dropped(), 10);
+        let violations = checker.take_violations();
+        assert_eq!(violations.len(), MAX_VIOLATIONS + 1, "the drop count trails the retained breaches");
+        let trailer = &violations[MAX_VIOLATIONS];
+        assert_eq!(trailer.law, "violations-dropped");
+        assert!(trailer.detail.starts_with("10 more"), "{}", trailer.detail);
+        assert_eq!(trailer.at, t(MAX_VIOLATIONS as u64 + 9), "stamped at the last checked dispatch");
+    }
+
+    #[test]
+    fn sim_reports_breaches_dropped_past_the_cap() {
+        use crate::sched::Sim;
+        let mut sim: Sim<u32> = Sim::new(SimTime::EPOCH, 1);
+        sim.enable_invariants(false);
+        sim.add_invariant("always", |_, _| Err("broken".into()));
+        for i in 0..100u64 {
+            sim.schedule_in(SimDuration::from_secs(i + 1), |w: &mut u32, _| *w += 1);
+        }
+        let mut world = 0;
+        sim.run(&mut world);
+        let violations = sim.take_violations();
+        assert_eq!(violations.len(), MAX_VIOLATIONS + 1);
+        assert!(violations[..MAX_VIOLATIONS].iter().all(|v| v.law == "always"));
+        let trailer = violations.last().expect("trailing violation");
+        assert_eq!(trailer.law, "violations-dropped");
+        assert!(trailer.detail.contains(&format!("{} more", 100 - MAX_VIOLATIONS)), "{}", trailer.detail);
+        assert!(sim.take_violations().is_empty(), "draining resets the drop count");
     }
 
     #[test]

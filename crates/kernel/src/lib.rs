@@ -23,17 +23,20 @@
 //!   back to their root compromise via parent chains.
 //! - [`metrics::Metrics`] — counters, histograms, and time series that
 //!   experiments read back out.
-//! - [`sched::ProfileSummary`] — opt-in scheduler profiling (per-category
-//!   dispatch counts, host-clock time, queue depth), zero-cost when off.
-//! - [`invariant::InvariantChecker`] — opt-in runtime invariant checking
-//!   (time monotonicity, span causality, fault-window well-formedness, plus
-//!   caller-registered world laws), zero-cost when off.
+//! - One opt-in dispatch probe per [`sched::Sim`] that serves three
+//!   consumers from a single per-category tally, and costs one branch per
+//!   dispatch when nothing is armed:
+//!   - [`sched::ProfileSummary`] — scheduler profiling (per-category
+//!     dispatch counts, host-clock time, queue depth);
+//!   - [`telemetry::TelemetryHook`] — a process-wide observer a host layer
+//!     can install once; each sim flushes it one delta per `run*` call and
+//!     once more when dropped;
+//!   - [`invariant::InvariantChecker`] — runtime invariant checking (time
+//!     monotonicity, span causality, fault-window well-formedness, plus
+//!     caller-registered world laws).
 //! - [`sched::Watchdog`] — per-run limits (deterministic event budget,
 //!   host-clock deadline) with graceful truncation via
 //!   [`sched::Sim::run_until_watched`].
-//! - [`telemetry::TelemetryHook`] — a process-wide observer interface a host
-//!   layer can install once; armed simulations feed it per-dispatch
-//!   callbacks, unarmed ones pay a single branch.
 //! - [`crate::define_id!`] / [`ids::Arena`] — typed handles for entity tables.
 //!
 //! # Examples
@@ -82,7 +85,7 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::sched::{EventHandle, ProfileRow, ProfileSummary, Sim, StopReason, Watchdog, WatchedRun};
     pub use crate::span::{Span, SpanId, SpanLog};
-    pub use crate::telemetry::TelemetryHook;
+    pub use crate::telemetry::{TelemetryDelta, TelemetryHook};
     pub use crate::time::{SimDuration, SimTime, TimeError};
     pub use crate::trace::{TraceCategory, TraceConfig, TraceEvent, TraceLog};
 }

@@ -15,9 +15,15 @@
 //! O(1) amortized, `(time, seq)` order is structural rather than
 //! comparator-driven, and a batch of same-timestamp events drains without
 //! re-touching the priority structure.
+//!
+//! One optional probe observes dispatches. Armed by a profile window, the
+//! telemetry hook ([`crate::telemetry`]) or the invariant checker, it times
+//! each dispatch, adds it to one per-category tally that the profile, the
+//! hook and `sched.dispatch.*` all read, then runs the checker. With nothing
+//! armed, [`Sim::step`] only calls the action.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::time::Instant;
 
 use crate::calq::{CalQueue, QueueStats};
 use crate::fault::FaultPlane;
@@ -26,7 +32,7 @@ use crate::invariant::{InvariantChecker, InvariantViolation, LawCx};
 use crate::metrics::{Histogram, Metrics};
 use crate::rng::SimRng;
 use crate::span::{SpanId, SpanLog};
-use crate::telemetry::{self, TelemetryHook};
+use crate::telemetry::{self, TelemetryDelta, TelemetryHook, DISPATCH_SLOTS};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceCategory, TraceLog};
 
@@ -62,15 +68,8 @@ pub struct Sim<W> {
     now: SimTime,
     queue: CalQueue<Action<W>>,
     executed: u64,
-    profiler: Option<Profiler>,
-    checker: Option<Box<InvariantChecker<W>>>,
-    /// The process-wide telemetry hook, captured at construction (see
-    /// [`crate::telemetry`]); `None` in processes that never install one.
-    telemetry: Option<&'static dyn TelemetryHook>,
-    /// Queue-stats watermark of the last hook flush, so each `run*` call
-    /// reports only the delta it produced.
-    tele_flushed: QueueStats,
-    dispatch_cat: Option<TraceCategory>,
+    /// Every dispatch observer; `None` keeps [`Sim::step`] on the plain path.
+    probe: Option<Box<Probe<W>>>,
     /// Deterministic random source for the run.
     pub rng: SimRng,
     /// Structured event trace.
@@ -101,21 +100,21 @@ impl<W> fmt::Debug for Sim<W> {
 impl<W> Sim<W> {
     /// Creates a scheduler starting at `start` with the given rng seed.
     pub fn new(start: SimTime, seed: u64) -> Self {
-        Sim {
+        let mut sim = Sim {
             now: start,
             queue: CalQueue::new(),
             executed: 0,
-            profiler: None,
-            checker: None,
-            telemetry: telemetry::installed(),
-            tele_flushed: QueueStats::default(),
-            dispatch_cat: None,
+            probe: None,
             rng: SimRng::seed_from(seed),
             trace: TraceLog::new(),
             spans: SpanLog::new(),
             metrics: Metrics::new(),
             faults: FaultPlane::new(SimRng::seed_from(seed).fork("fault-plane")),
+        };
+        if let Some(hook) = telemetry::installed() {
+            sim.probe_mut().tally.hook = Some(hook);
         }
+        sim
     }
 
     /// Current simulation time.
@@ -207,67 +206,46 @@ impl<W> Sim<W> {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         self.executed += 1;
-        if self.profiler.is_some() {
-            self.dispatch_profiled(world, action);
-        } else if let Some(hook) = self.telemetry {
-            let depth = self.queue.len();
-            self.dispatch_cat = None;
+        if self.probe.is_none() {
             action(world, self);
-            hook.dispatch(self.dispatch_cat.take(), depth);
         } else {
-            action(world, self);
-        }
-        if self.checker.is_some() {
-            self.run_invariants(world);
+            self.dispatch_probed(world, action);
         }
         true
     }
 
-    /// Post-dispatch invariant sweep: the checker is moved out for the call
-    /// so the laws can borrow the scheduler's spans and faults immutably.
-    fn run_invariants(&mut self, world: &W) {
-        let Some(mut checker) = self.checker.take() else { return };
-        let cx = LawCx { now: self.now, spans: &self.spans, faults: &self.faults };
-        checker.check(world, &cx);
-        self.checker = Some(checker);
-    }
-
-    /// Dispatch with the probe armed: time the action on the host clock and
-    /// attribute it to the first trace category it touches.
-    fn dispatch_profiled(&mut self, world: &mut W, action: Action<W>) {
+    /// The armed dispatch path: time the action, add it to the tally under
+    /// the first trace category it records, then run the invariant checker.
+    /// The dispatch is counted before the checker runs, so a strict-mode
+    /// panic still counts the dispatch that exposed it.
+    fn dispatch_probed(&mut self, world: &mut W, action: Action<W>) {
         let depth = self.queue.len();
-        self.dispatch_cat = None;
-        let started = std::time::Instant::now();
+        if let Some(probe) = self.probe.as_mut() {
+            probe.tally.current = None;
+        }
+        let started = Instant::now();
         action(world, self);
         let nanos = started.elapsed().as_nanos() as u64;
-        let cat = self.dispatch_cat.take();
-        if let Some(hook) = self.telemetry {
-            hook.dispatch(cat, depth);
-        }
-        if let Some(p) = self.profiler.as_mut() {
-            p.note(cat.map(TraceCategory::name), nanos, depth);
+        // The action may have disarmed the probe (see `finish_profile`).
+        let Some(probe) = self.probe.as_mut() else { return };
+        probe.tally.note(depth, nanos);
+        if let Some(checker) = probe.checker.as_mut() {
+            checker.check(world, &LawCx { now: self.now, spans: &self.spans, faults: &self.faults });
         }
     }
 
     /// Runs until the queue drains.
     pub fn run(&mut self, world: &mut W) {
         while self.step(world) {}
-        self.flush_queue_stats();
+        self.flush();
     }
 
-    /// Reports the queue's structural-counter delta since the last flush to
-    /// the telemetry hook. Called at the end of every `run*` entry point;
-    /// callers driving [`Sim::step`] by hand are not flushed (their counters
-    /// are still readable via [`Sim::queue_stats`]).
-    fn flush_queue_stats(&mut self) {
-        if let Some(hook) = self.telemetry {
-            let now = self.queue.stats();
-            hook.queue_stats(QueueStats {
-                resizes: now.resizes - self.tele_flushed.resizes,
-                tombstone_reaps: now.tombstone_reaps - self.tele_flushed.tombstone_reaps,
-                cursor_pullbacks: now.cursor_pullbacks - self.tele_flushed.cursor_pullbacks,
-            });
-            self.tele_flushed = now;
+    /// Hands the telemetry hook what accumulated since its last flush, at the
+    /// end of every `run*` entry point. Hand-driven [`Sim::step`]s reach the
+    /// hook with the next `run*` call or when the sim is dropped.
+    fn flush(&mut self) {
+        if let Some(probe) = self.probe.as_mut() {
+            probe.tally.flush(self.queue.stats());
         }
     }
 
@@ -293,10 +271,9 @@ impl<W> Sim<W> {
     /// whose outputs are compared byte-for-byte.
     pub fn run_until_watched(&mut self, world: &mut W, until: SimTime, watchdog: Watchdog) -> WatchedRun {
         let budget = watchdog.max_events.unwrap_or(u64::MAX);
-        let deadline =
-            watchdog.deadline_ms.map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
+        let deadline = watchdog.deadline_ms.map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
         let mut executed = 0u64;
-        loop {
+        let reason = loop {
             // `peek_time` reaps cancelled events in passing, so a tombstone
             // never counts against the budget.
             match self.queue.peek_time() {
@@ -304,27 +281,25 @@ impl<W> Sim<W> {
                     // Limits are checked only once another event is actually
                     // due, so an exactly-drained queue still reads Completed.
                     if executed >= budget {
-                        self.flush_queue_stats();
-                        return WatchedRun { reason: StopReason::EventBudget, executed };
+                        break StopReason::EventBudget;
                     }
-                    if let Some(d) = deadline {
-                        // Sampled every 256 dispatches: cheap, and plenty for
-                        // a deadline meant to catch runaway points, not to
-                        // time them.
-                        if executed.is_multiple_of(256) && std::time::Instant::now() >= d {
-                            self.flush_queue_stats();
-                            return WatchedRun { reason: StopReason::HostDeadline, executed };
-                        }
+                    // The deadline is sampled every 256 dispatches: cheap, and
+                    // plenty for a deadline meant to catch runaway points, not
+                    // to time them.
+                    if deadline.is_some_and(|d| executed.is_multiple_of(256) && Instant::now() >= d) {
+                        break StopReason::HostDeadline;
                     }
                     self.step(world);
                     executed += 1;
                 }
-                _ => break,
+                _ => break StopReason::Completed,
             }
+        };
+        if reason == StopReason::Completed {
+            self.now = self.now.max(until);
         }
-        self.now = self.now.max(until);
-        self.flush_queue_stats();
-        WatchedRun { reason: StopReason::Completed, executed }
+        self.flush();
+        WatchedRun { reason, executed }
     }
 
     /// Runs at most `max_events` events; returns how many were executed.
@@ -333,7 +308,7 @@ impl<W> Sim<W> {
         while n < max_events && self.step(world) {
             n += 1;
         }
-        self.flush_queue_stats();
+        self.flush();
         n
     }
 
@@ -394,9 +369,14 @@ impl<W> Sim<W> {
     }
 
     fn note_dispatch(&mut self, category: TraceCategory) {
-        if self.dispatch_cat.is_none() && (self.profiler.is_some() || self.telemetry.is_some()) {
-            self.dispatch_cat = Some(category);
+        if let Some(probe) = self.probe.as_mut() {
+            probe.tally.current.get_or_insert(category);
         }
+    }
+
+    /// The probe, armed on first use.
+    fn probe_mut(&mut self) -> &mut Probe<W> {
+        self.probe.get_or_insert_with(|| Box::new(Probe { tally: Tally::default(), checker: None }))
     }
 
     /// Snapshot of the pending-event queue's structural counters (ring
@@ -406,53 +386,53 @@ impl<W> Sim<W> {
         self.queue.stats()
     }
 
-    /// Arms the scheduler profiling probe. Until [`Sim::finish_profile`] is
-    /// called, every dispatched event is timed on the host clock, counted per
-    /// trace category, and the pre-dispatch queue depth is sampled.
-    ///
-    /// The probe is entirely off by default: the unprofiled dispatch path
-    /// performs no timing, no map lookups, and no extra branches beyond one
-    /// `Option` check.
+    /// Opens (or restarts) a profile window: until [`Sim::finish_profile`],
+    /// every dispatched event is timed on the host clock, counted per trace
+    /// category, and the pre-dispatch queue depth is sampled. Off by default;
+    /// a sim with nothing armed pays one `Option` check per dispatch.
     pub fn enable_profiling(&mut self) {
-        self.profiler = Some(Profiler::default());
+        let tally = &mut self.probe_mut().tally;
+        tally.window =
+            Some(Window { events: tally.events, nanos: tally.nanos, depths: Histogram::default() });
     }
 
-    /// Whether the profiling probe is armed.
-    pub fn is_profiling(&self) -> bool {
-        self.profiler.is_some()
-    }
-
-    /// Disarms the probe and returns the summary, also writing dispatch
-    /// counters (`sched.dispatch.<category>`) and queue-depth gauges
-    /// (`sched.queue_depth.p50/p95/p99`) into [`Sim::metrics`].
+    /// Closes the profile window and returns its summary, also writing
+    /// dispatch counters (`sched.dispatch.<category>`) and queue-depth gauges
+    /// (`sched.queue_depth.p50/p95/p99/max`) into [`Sim::metrics`]. Returns
+    /// `None` when no window is open.
     ///
     /// Host-clock timings are wall-time measurements and therefore *not*
     /// deterministic; they live only in the summary and the metric gauges,
     /// never in the trace, spans, or exports.
     pub fn finish_profile(&mut self) -> Option<ProfileSummary> {
-        let profiler = self.profiler.take()?;
+        let probe = self.probe.as_mut()?;
+        let mut window = probe.tally.window.take()?;
         let mut rows = Vec::new();
-        let mut total_events = 0u64;
         let mut total_nanos = 0u64;
-        for (category, stat) in &profiler.per_cat {
-            self.metrics.incr_by(&format!("sched.dispatch.{category}"), stat.count);
-            rows.push(ProfileRow {
-                category: category.to_string(),
-                events: stat.count,
-                host_ms: stat.nanos as f64 / 1e6,
-            });
-            total_events += stat.count;
-            total_nanos += stat.nanos;
+        for slot in 0..DISPATCH_SLOTS {
+            let events = probe.tally.events[slot] - window.events[slot];
+            if events > 0 {
+                let nanos = probe.tally.nanos[slot] - window.nanos[slot];
+                total_nanos += nanos;
+                let category = TraceCategory::ALL.get(slot).map_or("(untraced)", |c| c.name());
+                rows.push(ProfileRow { category: category.to_owned(), events, host_ms: nanos as f64 / 1e6 });
+            }
         }
-        let mut queue_depth = profiler.queue_depth;
+        if probe.tally.hook.is_none() && probe.checker.is_none() {
+            self.probe = None;
+        }
+        rows.sort_by(|a, b| a.category.cmp(&b.category));
+        for row in &rows {
+            self.metrics.incr_by(&format!("sched.dispatch.{}", row.category), row.events);
+        }
         let summary = ProfileSummary {
+            total_events: rows.iter().map(|row| row.events).sum(),
             rows,
-            total_events,
             total_host_ms: total_nanos as f64 / 1e6,
-            queue_p50: queue_depth.quantile(0.50),
-            queue_p95: queue_depth.quantile(0.95),
-            queue_p99: queue_depth.quantile(0.99),
-            queue_max: queue_depth.max(),
+            queue_p50: window.depths.quantile(0.50),
+            queue_p95: window.depths.quantile(0.95),
+            queue_p99: window.depths.quantile(0.99),
+            queue_max: window.depths.max(),
         };
         self.metrics.set_gauge("sched.queue_depth.p50", summary.queue_p50);
         self.metrics.set_gauge("sched.queue_depth.p95", summary.queue_p95);
@@ -468,11 +448,12 @@ impl<W> Sim<W> {
     /// plus any world laws registered via [`Sim::add_invariant`]. In `strict`
     /// mode the first violation panics with a rendered report; otherwise
     /// violations accumulate and are drained with [`Sim::take_violations`].
-    ///
-    /// Like profiling, the checker is entirely off by default: the unchecked
-    /// dispatch path performs a single `Option` branch and nothing else.
     pub fn enable_invariants(&mut self, strict: bool) {
-        self.checker = Some(Box::new(InvariantChecker::new(strict)));
+        self.probe_mut().checker = Some(InvariantChecker::new(strict));
+    }
+
+    fn checker(&mut self) -> Option<&mut InvariantChecker<W>> {
+        self.probe.as_mut()?.checker.as_mut()
     }
 
     /// Registers a world-level law on the armed checker.
@@ -483,44 +464,83 @@ impl<W> Sim<W> {
     where
         F: Fn(&W, &LawCx<'_>) -> Result<(), String> + 'static,
     {
-        if let Some(checker) = self.checker.as_mut() {
+        if let Some(checker) = self.checker() {
             checker.add_law(name, law);
         }
     }
 
-    /// Drains accumulated invariant violations, leaving the checker armed.
+    /// Drains accumulated invariant violations, leaving the checker armed
+    /// (see [`InvariantChecker::take_violations`]).
     ///
     /// Returns an empty vector when the checker is disarmed or clean.
     pub fn take_violations(&mut self) -> Vec<InvariantViolation> {
-        self.checker.as_mut().map_or_else(Vec::new, |c| c.take_violations())
+        self.checker().map_or_else(Vec::new, InvariantChecker::take_violations)
     }
 
     /// Whether the invariant checker is armed.
     pub fn is_checking_invariants(&self) -> bool {
-        self.checker.is_some()
+        self.probe.as_ref().is_some_and(|probe| probe.checker.is_some())
     }
 }
 
-/// The armed scheduler probe: per-category dispatch tallies plus a queue-depth
-/// histogram, accumulated by [`Sim::step`].
-#[derive(Debug, Clone, Default)]
-struct Profiler {
-    per_cat: BTreeMap<&'static str, CatStat>,
-    queue_depth: Histogram,
+/// The dispatch probe: the tally every consumer reads, plus the invariant
+/// checker when one is armed.
+struct Probe<W> {
+    tally: Tally,
+    checker: Option<InvariantChecker<W>>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct CatStat {
-    count: u64,
-    nanos: u64,
+/// The non-generic half of the probe: dispatch counts and host-clock time
+/// per slot (indexed like [`DISPATCH_SLOTS`]), the open profile window, and
+/// the telemetry hook. Dropping it flushes the hook once more, so a sim that
+/// unwinds mid-run still reports the dispatches it finished; a `Drop` for
+/// `Sim<W>` would instead make dropck reject worlds that borrow locals.
+#[derive(Default)]
+struct Tally {
+    events: [u64; DISPATCH_SLOTS],
+    nanos: [u64; DISPATCH_SLOTS],
+    depth_max: usize,
+    /// First trace category the dispatch in progress recorded.
+    current: Option<TraceCategory>,
+    window: Option<Window>,
+    hook: Option<&'static dyn TelemetryHook>,
+    /// What the hook has been sent so far.
+    flushed: [u64; DISPATCH_SLOTS],
+    queue_flushed: QueueStats,
 }
 
-impl Profiler {
-    fn note(&mut self, category: Option<&'static str>, nanos: u64, depth: usize) {
-        let stat = self.per_cat.entry(category.unwrap_or("(untraced)")).or_default();
-        stat.count += 1;
-        stat.nanos += nanos;
-        self.queue_depth.observe(depth as f64);
+/// An open profile window: the tally when it opened, plus every queue depth
+/// sampled since (only while open: it stores every sample).
+struct Window {
+    events: [u64; DISPATCH_SLOTS],
+    nanos: [u64; DISPATCH_SLOTS],
+    depths: Histogram,
+}
+
+impl Tally {
+    fn note(&mut self, depth: usize, nanos: u64) {
+        let slot = self.current.map_or(DISPATCH_SLOTS - 1, |c| c as usize);
+        self.events[slot] += 1;
+        self.nanos[slot] += nanos;
+        self.depth_max = self.depth_max.max(depth);
+        if let Some(window) = self.window.as_mut() {
+            window.depths.observe(depth as f64);
+        }
+    }
+
+    fn flush(&mut self, queue: QueueStats) {
+        let Some(hook) = self.hook else { return };
+        let dispatches = std::array::from_fn(|slot| self.events[slot] - self.flushed[slot]);
+        let queue_delta = queue - self.queue_flushed;
+        hook.flush(TelemetryDelta { dispatches, queue_depth_max: self.depth_max, queue: queue_delta });
+        self.flushed = self.events;
+        self.queue_flushed = queue;
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        self.flush(self.queue_flushed);
     }
 }
 
@@ -852,7 +872,6 @@ mod tests {
         let mut s = sim();
         let mut w = Vec::new();
         s.enable_profiling();
-        assert!(s.is_profiling());
         s.schedule_in(SimDuration::from_secs(1), |_w, sim| {
             sim.record(TraceCategory::Net, "host:a", "dns lookup");
             sim.record(TraceCategory::Os, "host:a", "file drop"); // attribution goes to the first
@@ -863,8 +882,7 @@ mod tests {
         s.schedule_in(SimDuration::from_secs(3), |_w, _sim| {}); // untraced
         s.run(&mut w);
         let summary = s.finish_profile().expect("probe was armed");
-        assert!(!s.is_profiling(), "finish disarms");
-        assert_eq!(s.finish_profile(), None, "second finish yields nothing");
+        assert_eq!(s.finish_profile(), None, "finish closes the window; a second yields nothing");
         assert_eq!(summary.total_events, 3);
         let events: Vec<(&str, u64)> = summary.rows.iter().map(|r| (r.category.as_str(), r.events)).collect();
         assert_eq!(events, vec![("(untraced)", 1), ("net", 2)]);
@@ -911,6 +929,217 @@ mod tests {
             (w, s.spans.spans().last().unwrap().id.as_u64())
         }
         assert_eq!(run(false), run(true));
+    }
+
+    /// A test hook that sums every delta it is flushed.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<TelemetryDelta>);
+
+    impl TelemetryHook for Recorder {
+        fn flush(&self, delta: TelemetryDelta) {
+            let mut sum = self.0.lock().unwrap();
+            for (n, d) in sum.dispatches.iter_mut().zip(delta.dispatches) {
+                *n += d;
+            }
+            sum.queue_depth_max = sum.queue_depth_max.max(delta.queue_depth_max);
+            sum.queue.resizes += delta.queue.resizes;
+            sum.queue.tombstone_reaps += delta.queue.tombstone_reaps;
+            sum.queue.cursor_pullbacks += delta.queue.cursor_pullbacks;
+        }
+    }
+
+    impl Recorder {
+        /// A fresh recorder, armed on `sim` in place of any process-wide hook.
+        fn arm(sim: &mut Sim<World>) -> &'static Recorder {
+            let recorder: &'static Recorder = Box::leak(Box::default());
+            sim.probe_mut().tally.hook = Some(recorder);
+            recorder
+        }
+
+        fn total(&self) -> TelemetryDelta {
+            *self.0.lock().unwrap()
+        }
+
+        fn dispatches(&self) -> u64 {
+            self.total().dispatches.iter().sum()
+        }
+    }
+
+    /// Profile rows `(category, events)`, total events, queue quantiles.
+    type ProfileCounts = (Vec<(String, u64)>, u64, [f64; 4]);
+
+    /// Everything one seeded random sim leaves behind under a probe set.
+    #[derive(Debug)]
+    struct Observed {
+        /// World, trace length, span count, executed count, final clock.
+        state: (World, usize, usize, u64, SimTime),
+        profile: Option<ProfileCounts>,
+        violations: Vec<InvariantViolation>,
+        hook: Option<TelemetryDelta>,
+    }
+
+    fn random_run(seed: u64, profile: bool, hook: bool, check: bool) -> Observed {
+        fn spawn(w: &mut World, sim: &mut Sim<World>) {
+            let v = sim.rng.range(0..100u32);
+            w.push(v);
+            match v % 5 {
+                0 => {} // untraced
+                1 => sim.record(TraceCategory::Net, "h", "lookup"),
+                2 => {
+                    sim.record(TraceCategory::Os, "h", "drop");
+                    sim.record(TraceCategory::Net, "h", "beacon");
+                }
+                3 => {
+                    // An orphan wipe: a span-causality breach.
+                    sim.open_span(TraceCategory::Destruction, "h", "wipe");
+                }
+                _ => {
+                    let root = sim.open_span(TraceCategory::Infection, "h", "infect");
+                    sim.open_child_span(root, TraceCategory::Exfiltration, "h", "upload");
+                }
+            }
+            if w.len() < 150 && v.is_multiple_of(3) {
+                sim.schedule_in(SimDuration::from_millis(u64::from(v) + 1), spawn);
+            }
+        }
+        let mut s: Sim<World> = Sim::new(SimTime::EPOCH, seed);
+        if profile {
+            s.enable_profiling();
+        }
+        let recorder = hook.then(|| Recorder::arm(&mut s));
+        if check {
+            s.enable_invariants(false);
+            s.add_invariant("sum-not-multiple-of-7", |w: &World, _| match w.iter().sum::<u32>() % 7 {
+                0 => Err("sum is a multiple of 7".into()),
+                _ => Ok(()),
+            });
+        }
+        let mut w = Vec::new();
+        for _ in 0..40 {
+            let d = SimDuration::from_millis(s.rng.range(1..1000u64));
+            s.schedule_in(d, spawn);
+        }
+        s.run_until(&mut w, SimTime::EPOCH + SimDuration::from_millis(500));
+        s.run(&mut w);
+        let profile = s.finish_profile().map(|p| {
+            let rows = p.rows.iter().map(|r| (r.category.clone(), r.events)).collect();
+            (rows, p.total_events, [p.queue_p50, p.queue_p95, p.queue_p99, p.queue_max])
+        });
+        let violations = s.take_violations();
+        let state = (w, s.trace.len(), s.spans.len(), s.executed(), s.now());
+        drop(s);
+        Observed { state, profile, violations, hook: recorder.map(Recorder::total) }
+    }
+
+    #[test]
+    fn one_probe_serves_every_consumer_alike() {
+        let mut breaches = 0;
+        for seed in 0..40 {
+            let none = random_run(seed, false, false, false);
+            let all = random_run(seed, true, true, true);
+            let profile = random_run(seed, true, false, false);
+            let hook = random_run(seed, false, true, false);
+            let check = random_run(seed, false, false, true);
+            for armed in [&all, &profile, &hook, &check] {
+                assert_eq!(armed.state, none.state, "seed {seed}: a probe perturbed the run");
+            }
+            assert_eq!(all.profile, profile.profile, "seed {seed}");
+            assert_eq!(all.violations, check.violations, "seed {seed}");
+            assert_eq!(all.hook, hook.hook, "seed {seed}");
+
+            // One tally feeds both the profile and the hook.
+            let executed = none.state.3;
+            let (rows, total, quantiles) = all.profile.expect("profiled");
+            let tally = all.hook.expect("hooked");
+            assert_eq!(total, executed, "seed {seed}");
+            assert_eq!(tally.dispatches.iter().sum::<u64>(), executed, "seed {seed}");
+            for (category, events) in rows {
+                let slot = TraceCategory::ALL
+                    .iter()
+                    .position(|c| c.name() == category)
+                    .unwrap_or(DISPATCH_SLOTS - 1);
+                assert_eq!(tally.dispatches[slot], events, "seed {seed}: {category}");
+            }
+            assert_eq!(tally.queue_depth_max as f64, quantiles[3], "seed {seed}");
+            breaches += all.violations.len();
+        }
+        assert!(breaches > 0, "the random sims exercise the checker");
+    }
+
+    #[test]
+    fn profile_window_opened_mid_run_counts_only_later_dispatches() {
+        for checked in [false, true] {
+            let mut s = sim();
+            if checked {
+                // An earlier armed probe has been tallying since the start.
+                s.enable_invariants(false);
+            }
+            let mut w = Vec::new();
+            for sec in 1..=10u64 {
+                s.schedule_in(SimDuration::from_secs(sec), move |w: &mut World, sim| {
+                    sim.record(TraceCategory::Net, "host:a", "tick");
+                    w.push(sec as u32);
+                });
+            }
+            s.run_until(&mut w, SimTime::EPOCH + SimDuration::from_secs(4));
+            s.enable_profiling();
+            s.run(&mut w);
+            let summary = s.finish_profile().expect("window open");
+            assert_eq!(summary.total_events, 6, "checked: {checked}");
+            let rows: Vec<(&str, u64)> =
+                summary.rows.iter().map(|r| (r.category.as_str(), r.events)).collect();
+            assert_eq!(rows, vec![("net", 6)]);
+            assert_eq!(summary.queue_max, 5.0, "depths are sampled only inside the window");
+            assert_eq!(s.metrics.counter("sched.dispatch.net"), 6);
+        }
+    }
+
+    #[test]
+    fn finishing_the_last_probe_returns_the_sim_to_the_plain_path() {
+        let mut s = sim();
+        // Another test may have installed a process-wide hook, which arms a
+        // probe for the sim's whole life.
+        let hooked = s.probe.is_some();
+        s.enable_profiling();
+        assert!(s.probe.is_some());
+        s.finish_profile().expect("window open");
+        assert_eq!(s.probe.is_some(), hooked, "nothing left armed: back to the plain path");
+        s.enable_invariants(false);
+        s.enable_profiling();
+        s.finish_profile().expect("window open");
+        assert!(s.probe.is_some(), "the checker keeps the probe armed");
+    }
+
+    #[test]
+    fn unwinding_sim_still_flushes_finished_dispatches() {
+        for strict in [false, true] {
+            let recorder = std::cell::Cell::new(None);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut s = sim();
+                recorder.set(Some(Recorder::arm(&mut s)));
+                if strict {
+                    s.enable_invariants(true);
+                    s.add_invariant("at-most-2", |w: &World, _| match w.len() {
+                        0..=2 => Ok(()),
+                        n => Err(format!("{n} entries")),
+                    });
+                }
+                let mut w = Vec::new();
+                for i in 1..=5u32 {
+                    s.schedule_in(SimDuration::from_secs(u64::from(i)), move |w: &mut World, _| {
+                        assert!(strict || i != 3, "event 3 fails");
+                        w.push(i);
+                    });
+                }
+                s.run(&mut w);
+            }));
+            assert!(result.is_err(), "the run unwinds");
+            let recorder = recorder.get().expect("armed before the panic");
+            // A panicking action is not counted; a dispatch that trips the
+            // strict checker is, because the tally comes first.
+            let expected = if strict { 3 } else { 2 };
+            assert_eq!(recorder.dispatches(), expected, "strict: {strict}");
+        }
     }
 
     #[test]

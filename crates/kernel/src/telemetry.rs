@@ -4,17 +4,17 @@
 //! knows how metrics are exported. Instead, a host layer (in this workspace,
 //! `malsim::telemetry`) implements [`TelemetryHook`] and installs one
 //! `'static` instance process-wide via [`install`]. Every [`Sim`] created
-//! *after* installation captures the hook at construction and feeds it one
-//! callback per dispatched event; a `Sim` created before installation — or in
-//! a process that never installs — carries `None` and pays nothing beyond a
-//! single branch per dispatch, the same opt-in idiom as the profiler and the
-//! invariant checker.
+//! *after* installation captures the hook in its dispatch probe (see
+//! [`crate::sched`]) and flushes it one [`TelemetryDelta`] at the end of
+//! every `run*` call and once more when dropped; nothing is called per
+//! event. A `Sim` created before installation — or in a process that never
+//! installs — carries no probe and pays one branch per dispatch.
 //!
 //! Installation is deliberately one-way (a [`OnceLock`]): the hook is meant
 //! to be armed once at process start, before any simulation exists, so that
 //! observation never changes mid-run. Whether the registry behind the hook
 //! is recording or discarding is the host layer's business — the kernel only
-//! promises to call.
+//! promises to flush.
 //!
 //! [`Sim`]: crate::sched::Sim
 
@@ -23,26 +23,34 @@ use std::sync::OnceLock;
 use crate::calq::QueueStats;
 use crate::trace::TraceCategory;
 
-/// Observer interface the kernel calls into when a hook is installed.
+/// Slots of a per-category dispatch tally: one per [`TraceCategory`], in
+/// declaration order (`category as usize`), then one for untraced events.
+pub const DISPATCH_SLOTS: usize = TraceCategory::ALL.len() + 1;
+
+/// What one [`TelemetryHook::flush`] reports about one [`Sim`](crate::sched::Sim).
+/// Counts are deltas since that sim's previous flush, so summing them across
+/// sims and runs yields process totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TelemetryDelta {
+    /// Dispatches by trace-category attribution (the first category the
+    /// event recorded), indexed like [`DISPATCH_SLOTS`].
+    pub dispatches: [u64; DISPATCH_SLOTS],
+    /// The largest pre-dispatch queue depth the sim has seen so far.
+    pub queue_depth_max: usize,
+    /// The calendar queue's structural counters (resizes, tombstone reaps,
+    /// cursor pull-backs).
+    pub queue: QueueStats,
+}
+
+/// Observer interface the kernel flushes into when a hook is installed.
 ///
-/// Implementations must be cheap and non-blocking — the callback runs on the
-/// dispatch path of every armed simulation — and must not observe anything
-/// back into the simulation: telemetry is strictly write-only from the
-/// kernel's point of view, which is what keeps armed and unarmed runs
+/// Implementations must be cheap and non-blocking, and must not observe
+/// anything back into the simulation: telemetry is strictly write-only from
+/// the kernel's point of view, which is what keeps armed and unarmed runs
 /// byte-identical.
 pub trait TelemetryHook: Send + Sync {
-    /// One event was dispatched: its trace-category attribution (the first
-    /// category the event recorded, `None` for untraced events) and the
-    /// pending-queue depth sampled immediately before the dispatch.
-    fn dispatch(&self, category: Option<TraceCategory>, queue_depth: usize);
-
-    /// A `run*` call on an observed [`Sim`](crate::sched::Sim) finished: the calendar queue's
-    /// structural counters (resizes, tombstone reaps, cursor pull-backs)
-    /// accumulated since the previous flush on that `Sim`. Deltas, so
-    /// summing them across sims and runs yields process totals.
-    fn queue_stats(&self, delta: QueueStats) {
-        let _ = delta;
-    }
+    /// One sim's dispatches and queue counters since its previous flush.
+    fn flush(&self, delta: TelemetryDelta);
 }
 
 static HOOK: OnceLock<&'static dyn TelemetryHook> = OnceLock::new();
@@ -64,12 +72,12 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     struct CountingHook {
-        calls: AtomicU64,
+        dispatches: AtomicU64,
     }
 
     impl TelemetryHook for CountingHook {
-        fn dispatch(&self, _category: Option<TraceCategory>, _queue_depth: usize) {
-            self.calls.fetch_add(1, Ordering::Relaxed);
+        fn flush(&self, delta: TelemetryDelta) {
+            self.dispatches.fetch_add(delta.dispatches.iter().sum(), Ordering::Relaxed);
         }
     }
 
@@ -81,8 +89,8 @@ mod tests {
         use crate::time::{SimDuration, SimTime};
 
         assert!(installed().is_none(), "no hook before install");
-        static HOOK_A: CountingHook = CountingHook { calls: AtomicU64::new(0) };
-        static HOOK_B: CountingHook = CountingHook { calls: AtomicU64::new(0) };
+        static HOOK_A: CountingHook = CountingHook { dispatches: AtomicU64::new(0) };
+        static HOOK_B: CountingHook = CountingHook { dispatches: AtomicU64::new(0) };
         assert!(install(&HOOK_A));
         assert!(!install(&HOOK_B), "second install is rejected");
 
@@ -95,7 +103,11 @@ mod tests {
         sim.schedule_in(SimDuration::from_secs(2), |w: &mut Vec<u32>, _| w.push(2));
         sim.run(&mut world);
         assert_eq!(world, vec![1, 2]);
-        assert_eq!(HOOK_A.calls.load(Ordering::Relaxed), 2, "one callback per dispatch");
-        assert_eq!(HOOK_B.calls.load(Ordering::Relaxed), 0, "the losing hook never fires");
+        assert_eq!(
+            HOOK_A.dispatches.load(Ordering::Relaxed),
+            sim.executed(),
+            "the flushed dispatch total equals the dispatch count"
+        );
+        assert_eq!(HOOK_B.dispatches.load(Ordering::Relaxed), 0, "the losing hook never fires");
     }
 }
