@@ -26,13 +26,13 @@
 //! a hostile script degrades its grid point to `ScriptFault` and the rest of
 //! the sweep completes.
 //!
-//! Scripts observe a **snapshot** of the world and request changes through
-//! an effect queue, applied only after the VM returns successfully — a
-//! faulting script therefore leaves the world byte-identical to not having
-//! run at all.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! Scripts read the world through a **read-only borrow** held for the
+//! length of the VM run and request changes through an effect queue,
+//! applied only after the VM returns successfully. Nothing mutates the
+//! world while the script runs, so it sees one unchanging world, and a
+//! faulting script leaves the world byte-identical to not having run at
+//! all. The host is one `match` over the bindings, next to the
+//! `static` table of the capabilities they demand.
 
 use malsim_kernel::trace::TraceCategory;
 use malsim_malware::world::{World, WorldSim};
@@ -40,7 +40,7 @@ use malsim_script::cap::{Capability, CapabilitySet, GatedHost};
 use malsim_script::compiler::{compile, Chunk};
 use malsim_script::error::{CompileScriptError, RunScriptError, SourcePos};
 use malsim_script::value::Value;
-use malsim_script::vm::{FnHost, Vm, VmLimits};
+use malsim_script::vm::{expect_str, HostEnv, Vm, VmLimits};
 
 use crate::error::Error;
 use crate::report::Json;
@@ -207,18 +207,18 @@ impl ScriptScenario {
         Ok(ScriptScenario { manifest, chunk })
     }
 
-    /// Runs the script against a snapshot of `world`. On success the queued
-    /// effects are applied to `world`/`sim` and reported; on any fault the
-    /// world is untouched and the typed fault is returned, ready for
-    /// [`sweep::supervised_point`](crate::sweep::supervised_point).
+    /// Runs the script against a read-only borrow of `world`. On success the
+    /// queued effects are applied to `world`/`sim` and reported; on any
+    /// fault the world is untouched and the typed fault is returned, ready
+    /// for [`sweep::supervised_point`](crate::sweep::supervised_point).
     pub fn run(&self, world: &mut World, sim: &mut WorldSim) -> Result<ScriptRunReport, ScriptFaultInfo> {
-        let (mut host, effects) = world_host(world, &self.manifest.granted);
+        let mut host =
+            GatedHost::new(WorldHost { world, effects: Vec::new() }, WORLD_BINDINGS, self.manifest.granted);
         let mut vm = Vm::new();
         let outcome = vm.run(&self.chunk, &mut host, self.manifest.limits);
-        drop(host); // releases the closures' clones of the effect sink
+        let effects = host.into_inner().effects;
         match outcome {
             Ok(out) => {
-                let effects = Rc::try_unwrap(effects).expect("host dropped").into_inner();
                 apply_effects(&self.manifest.name, &effects, world, sim);
                 Ok(ScriptRunReport {
                     script_id: self.manifest.name.clone(),
@@ -254,9 +254,8 @@ pub fn run_source(
     scenario.run(world, sim)
 }
 
-/// Builds the gated world host: read-only snapshot closures plus the effect
-/// queue, wrapped so that every world-touching function demands its
-/// capability.
+/// The scenario-script host: a read-only borrow of the world and the
+/// effects queued so far, in call order.
 ///
 /// | function | capability | behaviour |
 /// |---|---|---|
@@ -268,94 +267,63 @@ pub fn run_source(
 /// | `usb_write(path)` | `usb_write` | queue a payload staging effect |
 /// | `exfil(path)` | `exfil` | queue an exfiltration effect |
 /// | `detonate(host)` | `detonate` | queue a host-destruction effect |
-fn world_host(
-    world: &World,
-    granted: &CapabilitySet,
-) -> (GatedHost<FnHost<'static>>, Rc<RefCell<Vec<ScriptEffect>>>) {
-    let effects: Rc<RefCell<Vec<ScriptEffect>>> = Rc::new(RefCell::new(Vec::new()));
-    let mut host = FnHost::new();
+struct WorldHost<'w> {
+    world: &'w World,
+    effects: Vec<ScriptEffect>,
+}
 
-    // Snapshot the world up front: scripts never hold borrows into it.
-    let host_names: Rc<Vec<String>> = Rc::new(world.hosts.iter().map(|(_, h)| h.name().to_owned()).collect());
-    let running: Rc<Vec<String>> = Rc::new(
-        world.hosts.iter().filter(|(_, h)| h.is_running()).map(|(_, h)| h.name().to_owned()).collect(),
-    );
-    let files: Rc<Vec<String>> = Rc::new(
-        world
-            .hosts
-            .iter()
-            .flat_map(|(_, h)| {
-                let name = h.name().to_owned();
-                h.fs.iter().map(move |(p, _)| format!("{name}:{}", p.as_str())).collect::<Vec<_>>()
-            })
-            .collect(),
-    );
-    let live_domains: Rc<Vec<String>> = Rc::new(
-        world.dns.domains().filter(|d| world.dns.resolve(d).is_some()).map(|d| d.to_string()).collect(),
-    );
+/// The gated scenario bindings and their capabilities; everything else in
+/// [`WorldHost`] is ungated.
+static WORLD_BINDINGS: &[(&str, Capability)] = &[
+    ("scan_files", Capability::FsScan),
+    ("net_dial", Capability::NetDial),
+    ("usb_write", Capability::UsbWrite),
+    ("exfil", Capability::Exfil),
+    ("detonate", Capability::Detonate),
+];
 
-    {
-        let running = Rc::clone(&running);
-        host.register("hosts", move |_args| Ok(Value::list(running.iter().map(Value::str).collect())));
+impl HostEnv for WorldHost<'_> {
+    fn call_host(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> {
+        let WorldHost { world, effects } = self;
+        let mut queue = |effect| {
+            effects.push(effect);
+            Value::Nil
+        };
+        let hosts = world.hosts.iter().map(|(_, h)| h);
+        Ok(Some(match name {
+            "hosts" => Value::list(hosts.filter(|h| h.is_running()).map(|h| Value::str(h.name())).collect()),
+            "host_count" => Value::Int(world.hosts.len() as i64),
+            "log" => queue(ScriptEffect::Log { message: expect_str(args, name)?.to_owned() }),
+            "scan_files" => {
+                // `ext` is a suffix of the whole `host:path` string, so it
+                // may span the colon; only the hits are formatted.
+                let ext = expect_str(args, name)?;
+                let spans = |host: &str, path: &str| {
+                    path.ends_with(ext)
+                        || ext
+                            .strip_suffix(path)
+                            .and_then(|rest| rest.strip_suffix(':'))
+                            .is_some_and(|rest| host.ends_with(rest))
+                };
+                let hits = hosts.flat_map(|h| {
+                    h.fs.iter()
+                        .filter(|(p, _)| spans(h.name(), p.as_str()))
+                        .map(|(p, _)| Value::str(format!("{}:{}", h.name(), p.as_str())))
+                });
+                Value::list(hits.collect())
+            }
+            "net_dial" => {
+                let domain = expect_str(args, name)?;
+                Value::Bool(
+                    world.dns.domains().any(|d| d.as_str() == domain && world.dns.resolve(d).is_some()),
+                )
+            }
+            "usb_write" => queue(ScriptEffect::UsbWrite { path: expect_str(args, name)?.to_owned() }),
+            "exfil" => queue(ScriptEffect::Exfil { path: expect_str(args, name)?.to_owned() }),
+            "detonate" => queue(ScriptEffect::Detonate { host: expect_str(args, name)?.to_owned() }),
+            _ => return Ok(None),
+        }))
     }
-    {
-        let host_names = Rc::clone(&host_names);
-        host.register("host_count", move |_args| Ok(Value::Int(host_names.len() as i64)));
-    }
-    {
-        let effects = Rc::clone(&effects);
-        host.register("log", move |args| {
-            let message = expect_str(args, "log")?;
-            effects.borrow_mut().push(ScriptEffect::Log { message });
-            Ok(Value::Nil)
-        });
-    }
-    {
-        let files = Rc::clone(&files);
-        host.register("scan_files", move |args| {
-            let ext = expect_str(args, "scan_files")?;
-            Ok(Value::list(files.iter().filter(|p| p.ends_with(&ext)).map(Value::str).collect()))
-        });
-    }
-    {
-        let live_domains = Rc::clone(&live_domains);
-        host.register("net_dial", move |args| {
-            let domain = expect_str(args, "net_dial")?;
-            Ok(Value::Bool(live_domains.iter().any(|d| d == &domain)))
-        });
-    }
-    {
-        let effects = Rc::clone(&effects);
-        host.register("usb_write", move |args| {
-            let path = expect_str(args, "usb_write")?;
-            effects.borrow_mut().push(ScriptEffect::UsbWrite { path });
-            Ok(Value::Nil)
-        });
-    }
-    {
-        let effects = Rc::clone(&effects);
-        host.register("exfil", move |args| {
-            let path = expect_str(args, "exfil")?;
-            effects.borrow_mut().push(ScriptEffect::Exfil { path });
-            Ok(Value::Nil)
-        });
-    }
-    {
-        let effects = Rc::clone(&effects);
-        host.register("detonate", move |args| {
-            let target = expect_str(args, "detonate")?;
-            effects.borrow_mut().push(ScriptEffect::Detonate { host: target });
-            Ok(Value::Nil)
-        });
-    }
-
-    let gated = GatedHost::new(host, *granted)
-        .require("scan_files", Capability::FsScan)
-        .require("net_dial", Capability::NetDial)
-        .require("usb_write", Capability::UsbWrite)
-        .require("exfil", Capability::Exfil)
-        .require("detonate", Capability::Detonate);
-    (gated, effects)
 }
 
 fn apply_effects(script_id: &str, effects: &[ScriptEffect], world: &mut World, sim: &mut WorldSim) {
@@ -389,13 +357,6 @@ fn apply_effects(script_id: &str, effects: &[ScriptEffect], world: &mut World, s
             }
         }
     }
-}
-
-fn expect_str(args: &[Value], fname: &str) -> Result<String, RunScriptError> {
-    args.first()
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| RunScriptError::Host(format!("{fname}(string)")))
 }
 
 #[cfg(test)]

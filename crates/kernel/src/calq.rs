@@ -226,11 +226,6 @@ impl<T> CalQueue<T> {
         }
     }
 
-    /// Current bucket width in milliseconds (always a power of two).
-    pub fn bucket_width_ms(&self) -> u64 {
-        1u64 << self.shift
-    }
-
     /// Schedules `payload` at `time`. Events sharing a timestamp fire in
     /// insertion order.
     pub fn insert(&mut self, time: SimTime, payload: T) -> SlotRef {

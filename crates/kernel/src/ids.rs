@@ -322,16 +322,6 @@ impl<T> GenSlab<T> {
         }
     }
 
-    /// The current ref for an occupied slot, by raw index.
-    pub fn ref_at(&self, index: usize) -> Option<SlotRef> {
-        match self.slots.get(index) {
-            Some(GenSlot { generation, entry: Entry::Occupied(_) }) => {
-                Some(SlotRef { index: index as u32, generation: *generation })
-            }
-            _ => None,
-        }
-    }
-
     /// Removes the value in a slot by raw index, bumping the generation.
     pub fn remove_at(&mut self, index: usize) -> Option<T> {
         let slot = self.slots.get_mut(index)?;

@@ -102,11 +102,6 @@ impl Metrics {
         self.series.get(name)
     }
 
-    /// Names of all counters, in sorted order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
     /// Merges another registry into this one (counters add, gauges overwrite,
     /// histograms and series concatenate).
     pub fn merge(&mut self, other: &Metrics) {

@@ -176,12 +176,6 @@ impl TraceLog {
         TraceLog { enabled: true, config, ..TraceLog::default() }
     }
 
-    /// Replaces the retention policy. Already-kept events are untouched; the
-    /// new caps apply to subsequent records.
-    pub fn set_config(&mut self, config: TraceConfig) {
-        self.config = config;
-    }
-
     /// The current retention policy.
     pub fn config(&self) -> &TraceConfig {
         &self.config

@@ -8,8 +8,13 @@
 //! An ungranted call returns a typed
 //! [`RunScriptError::CapabilityDenied`] — never a panic, and never a silent
 //! no-op that would skew sweep results.
+//!
+//! Each script surface (Flame modules, scenario scripts) is one typed host
+//! whose `call_host` is a single `match` on the binding name, plus one
+//! `static` table of `(binding, capability)` pairs beside it. [`GatedHost`]
+//! wraps that host and enforces the table; it borrows the table and
+//! allocates nothing per run.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::RunScriptError;
@@ -160,38 +165,28 @@ impl FromIterator<Capability> for CapabilitySet {
 /// A [`HostEnv`] wrapper that checks each call against a granted
 /// [`CapabilitySet`] before delegating to the inner host.
 ///
-/// Host functions are registered with [`GatedHost::require`]; a call to a
-/// registered function without its capability returns
-/// [`RunScriptError::CapabilityDenied`]. Unregistered names pass through
-/// (the inner host decides whether they exist), so gating composes with
-/// builtins and harmless helpers like `log`.
+/// The gated names come from a `static` table of `(binding, capability)`
+/// pairs that sits next to the inner host's `call_host`. A call to a listed
+/// name without its capability returns [`RunScriptError::CapabilityDenied`]
+/// before the inner host runs. Unlisted names pass through (the inner host
+/// decides whether they exist), so gating composes with builtins and
+/// harmless helpers like `log`. The gate is a type rather than a check in
+/// each host's `match` arms, so a new binding cannot skip it by accident.
 pub struct GatedHost<H> {
     inner: H,
+    bindings: &'static [(&'static str, Capability)],
     granted: CapabilitySet,
-    required: HashMap<String, Capability>,
 }
 
 impl<H> GatedHost<H> {
-    /// Wraps `inner`, granting `granted`.
-    pub fn new(inner: H, granted: CapabilitySet) -> Self {
-        GatedHost { inner, granted, required: HashMap::new() }
-    }
-
-    /// Declares that host function `name` requires `cap` (builder style).
-    #[must_use]
-    pub fn require(mut self, name: impl Into<String>, cap: Capability) -> Self {
-        self.required.insert(name.into(), cap);
-        self
+    /// Wraps `inner`, gating the names in `bindings` and granting `granted`.
+    pub fn new(inner: H, bindings: &'static [(&'static str, Capability)], granted: CapabilitySet) -> Self {
+        GatedHost { inner, bindings, granted }
     }
 
     /// The capabilities this host was granted.
     pub fn granted(&self) -> CapabilitySet {
         self.granted
-    }
-
-    /// The capability `name` requires, if it is gated at all.
-    pub fn required_for(&self, name: &str) -> Option<Capability> {
-        self.required.get(name).copied()
     }
 
     /// Consumes the gate, returning the inner host.
@@ -204,7 +199,7 @@ impl<H: fmt::Debug> fmt::Debug for GatedHost<H> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GatedHost")
             .field("granted", &self.granted.to_string())
-            .field("gated_fns", &self.required.len())
+            .field("gated_fns", &self.bindings.len())
             .field("inner", &self.inner)
             .finish()
     }
@@ -212,7 +207,7 @@ impl<H: fmt::Debug> fmt::Debug for GatedHost<H> {
 
 impl<H: HostEnv> HostEnv for GatedHost<H> {
     fn call_host(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError> {
-        if let Some(&cap) = self.required.get(name) {
+        if let Some(&(_, cap)) = self.bindings.iter().find(|(binding, _)| *binding == name) {
             if !self.granted.allows(cap) {
                 return Err(RunScriptError::CapabilityDenied { name: name.to_owned(), capability: cap });
             }
@@ -256,36 +251,47 @@ mod tests {
 
     #[test]
     fn gated_host_denies_ungranted_and_passes_granted() {
-        let mut calls = 0usize;
+        static BINDINGS: [(&str, Capability); 2] =
+            [("exfil", Capability::Exfil), ("wipe_self", Capability::Detonate)];
+        let mut inner = FnHost::new();
+        inner.register("exfil", |_| Ok(Value::Int(1)));
+        inner.register("wipe_self", |_| Ok(Value::Int(2)));
+        inner.register("log", |_| {
+            Ok(Value::Nil) // ungated helper
+        });
+        let mut host = GatedHost::new(inner, &BINDINGS, CapabilitySet::none().grant(Capability::Exfil));
+
+        let mut vm = Vm::new();
+        let ok = compile("return exfil()").unwrap();
+        assert_eq!(vm.run(&ok, &mut host, VmLimits::default()).unwrap().value, Value::Int(1));
+
+        let denied = compile("return wipe_self()").unwrap();
+        let err = vm.run(&denied, &mut host, VmLimits::default()).unwrap_err();
+        assert_eq!(
+            err,
+            RunScriptError::CapabilityDenied { name: "wipe_self".into(), capability: Capability::Detonate }
+        );
+
+        let ungated = compile("return log()").unwrap();
+        assert_eq!(vm.run(&ungated, &mut host, VmLimits::default()).unwrap().value, Value::Nil);
+    }
+
+    #[test]
+    fn denied_calls_never_reach_the_inner_host() {
+        static BINDINGS: [(&str, Capability); 1] = [("wipe_self", Capability::Detonate)];
+        let mut reached = 0u32;
         {
             let mut inner = FnHost::new();
-            inner.register("exfil", |_| Ok(Value::Int(1)));
-            inner.register("wipe_self", |_| Ok(Value::Int(2)));
-            inner.register("log", |_| {
-                Ok(Value::Nil) // ungated helper
+            inner.register("wipe_self", |_| {
+                reached += 1;
+                Ok(Value::Nil)
             });
-            let mut host = GatedHost::new(inner, CapabilitySet::none().grant(Capability::Exfil))
-                .require("exfil", Capability::Exfil)
-                .require("wipe_self", Capability::Detonate);
-
-            let mut vm = Vm::new();
-            let ok = compile("return exfil()").unwrap();
-            assert_eq!(vm.run(&ok, &mut host, VmLimits::default()).unwrap().value, Value::Int(1));
-            calls += 1;
-
-            let denied = compile("return wipe_self()").unwrap();
-            let err = vm.run(&denied, &mut host, VmLimits::default()).unwrap_err();
-            assert_eq!(
-                err,
-                RunScriptError::CapabilityDenied {
-                    name: "wipe_self".into(),
-                    capability: Capability::Detonate
-                }
-            );
-
-            let ungated = compile("return log()").unwrap();
-            assert_eq!(vm.run(&ungated, &mut host, VmLimits::default()).unwrap().value, Value::Nil);
+            let mut host = GatedHost::new(inner, &BINDINGS, CapabilitySet::none());
+            assert!(host.call_host("wipe_self", &[]).is_err());
+            assert_eq!(host.call_host("unknown", &[]), Ok(None), "unlisted names pass through");
+            let mut host = GatedHost::new(host.into_inner(), &BINDINGS, CapabilitySet::all());
+            assert_eq!(host.call_host("wipe_self", &[]), Ok(Some(Value::Nil)));
         }
-        assert_eq!(calls, 1);
+        assert_eq!(reached, 1);
     }
 }

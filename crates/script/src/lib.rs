@@ -29,6 +29,12 @@
 //! [`fuzz::hostile_script`] mass-produces adversarial scripts to prove the
 //! sandbox holds.
 //!
+//! Hosts: the simulator gives each script surface one typed host — a
+//! `match` on the binding name — wrapped in a [`cap::GatedHost`] that
+//! enforces a `static` table of `(binding, capability)` pairs. The
+//! closure-map [`vm::FnHost`] is the fake host for tests and the example
+//! below; [`vm::expect_str`] is the shared string-argument check.
+//!
 //! # Examples
 //!
 //! ```

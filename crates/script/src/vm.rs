@@ -5,6 +5,12 @@
 //! simulation. Host capabilities are injected through [`HostEnv`], which is
 //! how malware modules read files, record audio, or enumerate bluetooth
 //! devices *in the simulated world* — the VM itself is pure.
+//!
+//! In the simulator each script surface implements [`HostEnv`] once, as a
+//! typed host with a single `match` on the binding name, wrapped in a
+//! [`GatedHost`](crate::cap::GatedHost). [`FnHost`] registers closures by
+//! name and serves as the fake host in tests and the crate's doc example;
+//! [`NoHost`] defines nothing (the fuzz harness runs against it).
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -27,6 +33,17 @@ pub trait HostEnv {
     fn call_host(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, RunScriptError>;
 }
 
+/// The first argument of host function `fname` as a string, or the typed
+/// `"{fname}(string)"` host error that every string-taking binding reports.
+///
+/// # Errors
+///
+/// [`RunScriptError::Host`] when the first argument is missing or not a
+/// string.
+pub fn expect_str<'a>(args: &'a [Value], fname: &str) -> Result<&'a str, RunScriptError> {
+    args.first().and_then(Value::as_str).ok_or_else(|| RunScriptError::Host(format!("{fname}(string)")))
+}
+
 /// A [`HostEnv`] with no functions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoHost;
@@ -40,8 +57,9 @@ impl HostEnv for NoHost {
 /// A host-callable function: the boxed closure a [`FnHost`] dispatches to.
 pub type HostFn<'a> = Box<dyn FnMut(&[Value]) -> Result<Value, RunScriptError> + 'a>;
 
-/// A [`HostEnv`] backed by a map of closures — convenient for tests and for
-/// composing module capabilities.
+/// A [`HostEnv`] backed by a map of closures: the fake host for tests and
+/// the crate's doc example. The simulator's own script surfaces are typed
+/// hosts behind a [`GatedHost`](crate::cap::GatedHost) instead.
 #[derive(Default)]
 pub struct FnHost<'a> {
     fns: HashMap<String, HostFn<'a>>,
